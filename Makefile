@@ -26,10 +26,15 @@ test:
 # The engine, simulator, MPI, and fault-tolerant sync layers are the
 # concurrency-bearing packages; cluster and stats feed them shared state
 # (disturbed hardware clocks, robust summaries), and checkpoint + detrand
-# snapshot that shared state while workers run, so all of them go under
-# the race detector.
+# snapshot that shared state while workers run. The experiments run
+# concurrent sweeps over shared configuration values, the fabric
+# supervises worker processes from several goroutines, synclint loads
+# packages in parallel, and runexp drives all of them, so every one goes
+# under the race detector.
+RACE_PKGS = ./internal/sim ./internal/scale ./internal/mpi ./internal/harness ./internal/clocksync ./internal/faults ./internal/cluster ./internal/stats ./internal/checkpoint ./internal/detrand ./internal/experiments ./internal/fabric ./cmd/synclint ./cmd/runexp
+
 race:
-	$(GO) test -race ./internal/sim ./internal/scale ./internal/mpi ./internal/harness ./internal/clocksync ./internal/faults ./internal/cluster ./internal/stats ./internal/checkpoint ./internal/detrand
+	$(GO) test -race $(RACE_PKGS)
 
 # Short smoke run of the native fuzz targets (seed corpora always run as
 # part of `make test`; this explores beyond them).
@@ -41,6 +46,7 @@ fuzz:
 	$(GO) test ./internal/analysis -run '^$$' -fuzz FuzzParseDirective -fuzztime 10s
 	$(GO) test ./internal/analysis -run '^$$' -fuzz FuzzFieldCoverage -fuzztime 10s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s
+	$(GO) test ./internal/fabric -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s
 
 # The repository's own multichecker (determinism, seed flow, allocfree
 # hot path, MPI error discards, //synclint: grammar), then the pinned

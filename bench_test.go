@@ -141,7 +141,7 @@ func BenchmarkFig10Trace(b *testing.B) {
 func BenchmarkAblationJKOffsetAlg(b *testing.B) {
 	var meanRTT, skampi float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationJKOffsetAlg(nil, 8, 30, 10, 2)
+		res, err := experiments.AblationJKOffsetAlg(nil, experiments.TinyAblationsConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func BenchmarkAblationJKOffsetAlg(b *testing.B) {
 func BenchmarkAblationRecomputeIntercept(b *testing.B) {
 	var without, with float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationRecomputeIntercept(nil, 8, 30, 10, 2)
+		res, err := experiments.AblationRecomputeIntercept(nil, experiments.TinyAblationsConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -183,9 +183,11 @@ func BenchmarkAblationRecomputeIntercept(b *testing.B) {
 }
 
 func BenchmarkAblationWander(b *testing.B) {
+	cfg := experiments.TinyAblationsConfig()
+	cfg.WanderProcs = 5
 	var on, off float64
 	for i := 0; i < b.N; i++ {
-		w1, w0, err := experiments.AblationWander(nil, 5, 60)
+		w1, w0, err := experiments.AblationWander(nil, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,9 @@
-// Command runexp runs arbitrary experiment suites through the parallel
-// experiment engine (internal/harness), with deterministic seeding, a
-// persistent result cache, and a run manifest.
+// Command runexp runs experiment suites through the parallel experiment
+// engine (internal/harness), with deterministic seeding, a persistent result
+// cache, and a run manifest. It is the one front end for the paper's tables
+// and figures; results_default.txt is the stdout of
+//
+//	runexp -suite table1,fig2,fig3,fig4,fig5,fig6,fig7,fig8,fig9,fig10,ablations,driftaware,windowloss,tracecorr,tuning
 //
 // Usage:
 //
@@ -57,10 +60,12 @@
 //	runexp -suite fig7 -scale tiny -cache "" -cpuprofile cpu.prof
 //	go tool pprof -top cpu.prof
 //
-// With -outdir, every suite's output is written to DIR/<suite>.txt and the
-// run's manifest — every task's config, derived seed, wall time, and
-// whether it was served from cache — to DIR/manifest.json. A summary line
-// with the cache-hit rate is always printed at the end.
+// With -outdir, every suite's output is written to DIR/<suite>.txt, the
+// plottable series of fig2 and fig10 to DIR/fig2_series.csv and
+// DIR/fig10_spans.csv, and the run's manifest — every task's config,
+// derived seed, wall time, and whether it was served from cache, plus each
+// suite's wall time, sims/s, and cache hits — to DIR/manifest.json. A
+// summary line with the cache-hit rate is always printed at the end.
 package main
 
 import (
@@ -84,14 +89,32 @@ import (
 // printer is the common surface of every experiment result.
 type printer interface{ Print(w io.Writer) }
 
+// csvWriter is implemented by results with a plottable series.
+type csvWriter interface{ WriteCSV(w io.Writer) error }
+
+// printFunc adapts a plain rendering function to printer.
+type printFunc func(w io.Writer)
+
+func (f printFunc) Print(w io.Writer) { f(w) }
+
 // suiteDef is one runnable entry of the registry. tiny selects the
 // test-sized configs; smoke (implies tiny elsewhere, see -scale) is only
 // distinguished by the scale suite, which keeps fig6 at the full 16384
-// ranks but trims it to a single run for the CI memory gate.
+// ranks but trims it to a single run for the CI memory gate. csv, when
+// set, names the -outdir file the result's WriteCSV series goes to.
 type suiteDef struct {
 	name  string
 	title string
 	run   func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error)
+	csv   string
+}
+
+// pick returns the tiny or the default config of a suite.
+func pick[C any](tiny bool, tinyFn, defFn func() C) C {
+	if tiny {
+		return tinyFn()
+	}
+	return defFn()
 }
 
 // seeded applies the -seed override to a Job-carrying config.
@@ -110,15 +133,9 @@ func seeded(seed int64, base *int64) {
 // where today's fiber ranks make it a byte-identical no-op. It never enters
 // a cache key — for a fixed seed the output is identical at any value.
 func registry(cut bool, workers int) []suiteDef {
-	pickSync := func(tiny bool, tinyFn, defFn func() experiments.SyncAccuracyConfig) experiments.SyncAccuracyConfig {
-		if tiny {
-			return tinyFn()
-		}
-		return defFn()
-	}
 	syncSuite := func(name, title string, tinyFn, defFn func() experiments.SyncAccuracyConfig) suiteDef {
-		return suiteDef{name, title, func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
-			cfg := pickSync(tiny, tinyFn, defFn)
+		return suiteDef{name: name, title: title, run: func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
+			cfg := pick(tiny, tinyFn, defFn)
 			cfg.Cut = cut
 			cfg.Job.Workers = workers
 			seeded(seed, &cfg.Job.Seed)
@@ -126,14 +143,14 @@ func registry(cut bool, workers int) []suiteDef {
 		}}
 	}
 	return []suiteDef{
-		{"fig2", "Fig. 2 — clock drift", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
-			cfg := experiments.DefaultFig2Config()
-			if tiny {
-				cfg = experiments.TinyFig2Config()
-			}
+		{name: "table1", title: "Table I — machines", run: func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
+			return printFunc(experiments.Table1), nil
+		}},
+		{name: "fig2", title: "Fig. 2 — clock drift", run: func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
+			cfg := pick(tiny, experiments.TinyFig2Config, experiments.DefaultFig2Config)
 			seeded(seed, &cfg.Job.Seed)
 			return experiments.RunFig2(eng, cfg)
-		}},
+		}, csv: "fig2_series.csv"},
 		syncSuite("fig3", "Fig. 3 — HCA/HCA2/HCA3/JK accuracy vs duration",
 			experiments.TinyFig3Config, experiments.DefaultFig3Config),
 		syncSuite("fig4", "Fig. 4 — HCA3 vs H2HCA, Jupiter",
@@ -142,41 +159,34 @@ func registry(cut bool, workers int) []suiteDef {
 			experiments.TinyFig5Config, experiments.DefaultFig5Config),
 		syncSuite("fig6", "Fig. 6 — HCA3 vs H2HCA, Titan",
 			experiments.TinyFig6Config, experiments.DefaultFig6Config),
-		{"fig7", "Fig. 7 — benchmark suite x barrier algorithm", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
-			cfg := experiments.DefaultFig7Config()
-			if tiny {
-				cfg = experiments.TinyFig7Config()
-			}
+		{name: "fig7", title: "Fig. 7 — benchmark suite x barrier algorithm", run: func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
+			cfg := pick(tiny, experiments.TinyFig7Config, experiments.DefaultFig7Config)
 			cfg.Cut = cut
 			cfg.Job.Workers = workers
 			seeded(seed, &cfg.Job.Seed)
 			return experiments.RunFig7(eng, cfg)
 		}},
-		{"fig8", "Fig. 8 — barrier exit imbalance", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
-			cfg := experiments.DefaultFig8Config()
-			if tiny {
-				cfg = experiments.TinyFig8Config()
-			}
+		{name: "fig8", title: "Fig. 8 — barrier exit imbalance", run: func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
+			cfg := pick(tiny, experiments.TinyFig8Config, experiments.DefaultFig8Config)
 			seeded(seed, &cfg.Job.Seed)
 			return experiments.RunFig8(eng, cfg)
 		}},
-		{"fig9", "Fig. 9 — OSU vs Round-Time across message sizes", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
-			cfg := experiments.DefaultFig9Config()
-			if tiny {
-				cfg = experiments.TinyFig9Config()
-			}
+		{name: "fig9", title: "Fig. 9 — OSU vs Round-Time across message sizes", run: func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
+			cfg := pick(tiny, experiments.TinyFig9Config, experiments.DefaultFig9Config)
 			seeded(seed, &cfg.Job.Seed)
 			return experiments.RunFig9(eng, cfg)
 		}},
-		{"fig10", "Fig. 10 — AMG2013 trace Gantt", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
-			cfg := experiments.DefaultFig10Config()
-			if tiny {
-				cfg = experiments.TinyFig10Config()
-			}
+		{name: "fig10", title: "Fig. 10 — AMG2013 trace Gantt", run: func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
+			cfg := pick(tiny, experiments.TinyFig10Config, experiments.DefaultFig10Config)
 			seeded(seed, &cfg.Job.Seed)
 			return experiments.RunFig10(eng, cfg)
+		}, csv: "fig10_spans.csv"},
+		{name: "ablations", title: "Ablations", run: func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
+			cfg := pick(tiny, experiments.TinyAblationsConfig, experiments.DefaultAblationsConfig)
+			cfg.Seed = seed
+			return experiments.RunAblations(eng, cfg)
 		}},
-		{"driftaware", "Offset-only vs drift-aware global clocks", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
+		{name: "driftaware", title: "Offset-only vs drift-aware global clocks", run: func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
 			cfg := experiments.DefaultDriftAwareConfig()
 			if tiny {
 				cfg.NRuns = 2
@@ -184,7 +194,7 @@ func registry(cut bool, workers int) []suiteDef {
 			seeded(seed, &cfg.Job.Seed)
 			return experiments.RunDriftAware(eng, cfg)
 		}},
-		{"windowloss", "Window cascade vs Round-Time yield", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
+		{name: "windowloss", title: "Window cascade vs Round-Time yield", run: func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
 			cfg := experiments.DefaultWindowLossConfig()
 			if tiny {
 				cfg.NRep = 100
@@ -192,7 +202,7 @@ func registry(cut bool, workers int) []suiteDef {
 			seeded(seed, &cfg.Job.Seed)
 			return experiments.RunWindowLoss(eng, cfg)
 		}},
-		{"tracecorr", "Timestamp correction over a long trace", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
+		{name: "tracecorr", title: "Timestamp correction over a long trace", run: func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
 			cfg := experiments.DefaultTraceCorrectionConfig()
 			if tiny {
 				cfg.NIter, cfg.ComputePer = 20, 2
@@ -200,7 +210,7 @@ func registry(cut bool, workers int) []suiteDef {
 			seeded(seed, &cfg.Job.Seed)
 			return experiments.RunTraceCorrection(eng, cfg)
 		}},
-		{"tuning", "PGMPITuneLib-style algorithm selection", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
+		{name: "tuning", title: "PGMPITuneLib-style algorithm selection", run: func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
 			cfg := experiments.DefaultTuningConfig()
 			if tiny {
 				cfg.NRep, cfg.MSizes = 10, []int{8, 8192}
@@ -208,24 +218,18 @@ func registry(cut bool, workers int) []suiteDef {
 			seeded(seed, &cfg.Job.Seed)
 			return experiments.RunTuning(eng, cfg)
 		}},
-		{"faults", "Faults — FT-HCA3 sync error under drop rate x crash count", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
-			cfg := experiments.DefaultFaultsConfig()
-			if tiny {
-				cfg = experiments.TinyFaultsConfig()
-			}
+		{name: "faults", title: "Faults — FT-HCA3 sync error under drop rate x crash count", run: func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
+			cfg := pick(tiny, experiments.TinyFaultsConfig, experiments.DefaultFaultsConfig)
 			cfg.Cut = cut
 			seeded(seed, &cfg.Job.Seed)
 			return experiments.RunFaults(eng, cfg)
 		}},
-		{"clockfaults", "Clock faults — LS vs robust sync under step x Byzantine", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
-			cfg := experiments.DefaultClockFaultsConfig()
-			if tiny {
-				cfg = experiments.TinyClockFaultsConfig()
-			}
+		{name: "clockfaults", title: "Clock faults — LS vs robust sync under step x Byzantine", run: func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
+			cfg := pick(tiny, experiments.TinyClockFaultsConfig, experiments.DefaultClockFaultsConfig)
 			seeded(seed, &cfg.Job.Seed)
 			return experiments.RunClockFaults(eng, cfg)
 		}},
-		{"scale", "Scale — fig6 at the full 16k ranks + 100k-1M-rank step-proc sweeps", func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
+		{name: "scale", title: "Scale — fig6 at the full 16k ranks + 100k-1M-rank step-proc sweeps", run: func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
 			cfg := experiments.DefaultScaleConfig()
 			switch {
 			case smoke:
@@ -418,12 +422,13 @@ func main() {
 		fmt.Printf("\n==================== %s ====================\n", s.title)
 		res.Print(os.Stdout)
 		if *outdir != "" {
-			f, err := os.Create(filepath.Join(*outdir, s.name+".txt"))
-			if err != nil {
-				fail(err)
+			writeFile(filepath.Join(*outdir, s.name+".txt"), func(w io.Writer) error {
+				res.Print(w)
+				return nil
+			})
+			if s.csv != "" {
+				writeFile(filepath.Join(*outdir, s.csv), res.(csvWriter).WriteCSV)
 			}
-			res.Print(f)
-			f.Close()
 		}
 	}
 
@@ -456,7 +461,10 @@ func main() {
 // the registry entry named in the request with a single-job engine whose
 // filter skips every task but the requested one — so the task's config and
 // seed are rebuilt from the same first principles as in the coordinator —
-// and whose observer captures that task's canonical-JSON result. The
+// and whose observer captures that task's canonical-JSON result. Several
+// tasks of one entry may share a (suite, name) pair — the ablations entry
+// runs two fig2 "drift" tasks — so the observer picks the one whose cache
+// key the coordinator asked for. The
 // streaming ledger handed in by ServeWorker replays any migrated resume
 // snapshot into the task and relays its cut saves back over the wire.
 func runWorker() error {
@@ -485,7 +493,7 @@ func runWorker() error {
 				return suite == req.Suite && name == req.Task
 			},
 			Observer: func(suite, name, k string, seed int64, result any) {
-				if suite != req.Suite || name != req.Task || found {
+				if suite != req.Suite || name != req.Task || found || (req.Key != "" && k != req.Key) {
 					return
 				}
 				b, err := json.Marshal(result)
@@ -507,6 +515,20 @@ func runWorker() error {
 		}
 		return key, raw, nil
 	})
+}
+
+// writeFile creates path and fills it with emit, exiting on any error.
+func writeFile(path string, emit func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		fail(err)
+	}
+	if err := emit(f); err != nil {
+		fail(fmt.Errorf("writing %s: %w", path, err))
+	}
+	if err := f.Close(); err != nil {
+		fail(err)
+	}
 }
 
 func fail(err error) {

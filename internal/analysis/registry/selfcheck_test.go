@@ -62,7 +62,7 @@ func TestRepositoryIsClean(t *testing.T) {
 		analysis.DirAllocfree: 98,
 		analysis.DirAlloc:     30,
 		analysis.DirOrdered:   14,
-		analysis.DirWallclock: 22,
+		analysis.DirWallclock: 17,
 		analysis.DirSeedok:    0,
 		analysis.DirChecked:   0,
 		analysis.DirSnapshot:  9,

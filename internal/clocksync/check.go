@@ -36,6 +36,7 @@ func CheckAccuracy(comm *mpi.Comm, g clock.Clock, cfg CheckConfig) []AccuracySam
 	if cfg.Offset == nil {
 		cfg.Offset = SKaMPIOffset{NExchanges: 10}
 	}
+	cfg.Offset = offsetForSync(cfg.Offset)
 	if cfg.SampleStride < 1 {
 		cfg.SampleStride = 1
 	}

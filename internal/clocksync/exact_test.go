@@ -163,7 +163,7 @@ func TestMixedOffsetAlgorithmsInHierarchy(t *testing.T) {
 	// "different synchronization algorithm or different parameter
 	// settings at each level").
 	top := HCA3{Params{NFitpoints: 15, Offset: SKaMPIOffset{NExchanges: 8}}}
-	bottom := HCA3{Params{NFitpoints: 10, Offset: &MeanRTTOffset{NExchanges: 6}}}
+	bottom := HCA3{Params{NFitpoints: 10, Offset: MeanRTTOffset{NExchanges: 6}}}
 	spec := cluster.TestBox()
 	spec.ClockDomain = cluster.DomainCore
 	alg := Hier{Top: top, Bottom: bottom, Group: ByNode}

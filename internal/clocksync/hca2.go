@@ -44,7 +44,7 @@ func (h HCA) Sync(comm *mpi.Comm, clk clock.Clock) clock.Clock {
 // hca2Body is the shared HCA/HCA2 implementation. When adjustOffsets is
 // set, the final per-client intercept re-anchoring round runs (HCA).
 func hca2Body(comm *mpi.Comm, p Params, clk clock.Clock, adjustOffsets bool) clock.Clock {
-	p = p.withDefaults()
+	p = p.withDefaults().forSync()
 	nprocs := comm.Size()
 	r := comm.Rank()
 	nrounds := log2floor(nprocs)

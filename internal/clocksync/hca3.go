@@ -22,6 +22,7 @@ func (h HCA3) Name() string { return h.Params.withDefaults().label("hca3") }
 
 // Sync implements Alg. 1.
 func (h HCA3) Sync(comm *mpi.Comm, clk clock.Clock) clock.Clock {
+	p := h.Params.forSync()
 	nprocs := comm.Size()
 	r := comm.Rank()
 	nrounds := log2floor(nprocs)
@@ -40,10 +41,10 @@ func (h HCA3) Sync(comm *mpi.Comm, clk clock.Clock) clock.Clock {
 		case r%running == 0:
 			// Reference for this round: emulate the global clock.
 			other := r + next
-			LearnClockModel(comm, h.Params, r, other, myClk)
+			LearnClockModel(comm, p, r, other, myClk)
 		case r%running == next:
 			other := r - next
-			lm := LearnClockModel(comm, h.Params, other, r, myClk)
+			lm := LearnClockModel(comm, p, other, r, myClk)
 			myClk = clock.New(clk, lm)
 		}
 	}
@@ -52,11 +53,11 @@ func (h HCA3) Sync(comm *mpi.Comm, clk clock.Clock) clock.Clock {
 	// their already-synchronized partner r − maxPower.
 	if r >= maxPower {
 		other := r - maxPower
-		lm := LearnClockModel(comm, h.Params, other, r, myClk)
+		lm := LearnClockModel(comm, p, other, r, myClk)
 		myClk = clock.New(clk, lm)
 	} else if r < nprocs-maxPower {
 		other := r + maxPower
-		LearnClockModel(comm, h.Params, r, other, myClk)
+		LearnClockModel(comm, p, r, other, myClk)
 	}
 	return myClk
 }

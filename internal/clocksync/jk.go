@@ -22,13 +22,14 @@ func (j JK) Name() string { return j.Params.withDefaults().label("jk") }
 
 // Sync runs the sequential root-to-client model learning.
 func (j JK) Sync(comm *mpi.Comm, clk clock.Clock) clock.Clock {
+	p := j.Params.forSync()
 	r := comm.Rank()
 	if r == 0 {
 		for q := 1; q < comm.Size(); q++ {
-			LearnClockModel(comm, j.Params, 0, q, clk)
+			LearnClockModel(comm, p, 0, q, clk)
 		}
 		return clk
 	}
-	lm := LearnClockModel(comm, j.Params, 0, r, clk)
+	lm := LearnClockModel(comm, p, 0, r, clk)
 	return clock.New(clk, lm)
 }

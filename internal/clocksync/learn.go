@@ -37,6 +37,23 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
+// offsetForSync binds o to one rank's one Sync call. Every algorithm calls
+// it (through Params.forSync) where its Sync starts: Mean-RTT-Offset gets a
+// fresh Alg. 8 session, stateless offset algorithms such as SKaMPI-Offset
+// pass through unchanged.
+func offsetForSync(o OffsetAlg) OffsetAlg {
+	if m, ok := o.(MeanRTTOffset); ok {
+		return m.forSync()
+	}
+	return o
+}
+
+// forSync returns p with its offset algorithm bound to one Sync call.
+func (p Params) forSync() Params {
+	p.Offset = offsetForSync(p.Offset)
+	return p
+}
+
 // label renders the paper's algorithm naming convention.
 func (p Params) label(alg string) string {
 	ri := ""

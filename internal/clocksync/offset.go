@@ -95,45 +95,70 @@ func (s SKaMPIOffset) MeasureOffset(comm *mpi.Comm, clk clock.Clock, ref, client
 // MeanRTTOffset is the clock offset algorithm of Jones & Koenig (paper
 // Alg. 8): it first estimates the round-trip time between the pair, then
 // derives offsets as local − ref − RTT/2 and keeps the median sample.
+//
+// The value is pure configuration. Alg. 8's have_rtt flag is per-rank
+// run state, so it lives in a session that each rank builds where its Sync
+// call starts (Params.forSync) and drops when the call returns: one RTT
+// estimate per pair per Sync, never shared between ranks, runs, or
+// concurrent simulations. Called directly, outside any Sync, MeasureOffset
+// estimates the RTT afresh every time.
 type MeanRTTOffset struct {
 	// NExchanges is the number of ping-pongs per measurement.
 	NExchanges int
 	// NRTT is the number of ping-pongs used for the one-time RTT
 	// estimate per pair (defaults to NExchanges).
 	NRTT int
-
-	// rtt caches the per-(viewer,ref,client) RTT, mirroring Alg. 8's
-	// have_rtt flag. Each rank tracks its own flag; the simulation is
-	// sequential, so the shared map is race-free.
-	rtt map[[3]int]float64
 }
 
 // Name returns the paper's label fragment.
-func (m *MeanRTTOffset) Name() string { return fmt.Sprintf("Mean-RTT-Offset/%d", m.NExchanges) }
+func (m MeanRTTOffset) Name() string { return fmt.Sprintf("Mean-RTT-Offset/%d", m.NExchanges) }
+
+// MeasureOffset implements Alg. 8 with have_rtt false.
+func (m MeanRTTOffset) MeasureOffset(comm *mpi.Comm, clk clock.Clock, ref, client int) ClockOffset {
+	checkPair(comm, ref, client)
+	return m.measure(comm, clk, ref, client, m.measureRTT(comm, clk, ref, client))
+}
+
+// forSync starts one rank's Alg. 8 session for one Sync call.
+func (m MeanRTTOffset) forSync() *meanRTTSession {
+	return &meanRTTSession{MeanRTTOffset: m, rtt: make(map[[2]int]float64)}
+}
+
+// meanRTTSession is MeanRTTOffset with Alg. 8's have_rtt flag: the RTT
+// of each (ref, client) pair this rank takes part in, measured on first use.
+// Keys are world ranks, since one Sync may serve several subcommunicators
+// whose local rank numbers collide.
+type meanRTTSession struct {
+	MeanRTTOffset
+	rtt map[[2]int]float64
+}
 
 // MeasureOffset implements Alg. 8.
-func (m *MeanRTTOffset) MeasureOffset(comm *mpi.Comm, clk clock.Clock, ref, client int) ClockOffset {
+func (s *meanRTTSession) MeasureOffset(comm *mpi.Comm, clk clock.Clock, ref, client int) ClockOffset {
+	checkPair(comm, ref, client)
+	key := [2]int{comm.WorldRank(ref), comm.WorldRank(client)}
+	rtt, haveRTT := s.rtt[key]
+	if !haveRTT {
+		rtt = s.measureRTT(comm, clk, ref, client)
+		s.rtt[key] = rtt
+	}
+	return s.measure(comm, clk, ref, client, rtt)
+}
+
+func checkPair(comm *mpi.Comm, ref, client int) {
+	if me := comm.Rank(); me != ref && me != client {
+		panic(fmt.Sprintf("clocksync: rank %d called MeasureOffset for pair (%d,%d)",
+			me, ref, client))
+	}
+}
+
+// measure runs Alg. 8's offset sampling given the pair's RTT estimate.
+func (m MeanRTTOffset) measure(comm *mpi.Comm, clk clock.Clock, ref, client int, rtt float64) ClockOffset {
 	n := m.NExchanges
 	if n <= 0 {
 		n = 10
 	}
-	me := comm.Rank()
-	if me != ref && me != client {
-		panic(fmt.Sprintf("clocksync: rank %d called MeasureOffset for pair (%d,%d)",
-			me, ref, client))
-	}
-	if m.rtt == nil {
-		m.rtt = make(map[[3]int]float64)
-	}
-	// Key by world ranks: the same instance may serve many disjoint
-	// subcommunicators whose local rank numbers collide.
-	key := [3]int{comm.WorldRank(me), comm.WorldRank(ref), comm.WorldRank(client)}
-	rtt, haveRTT := m.rtt[key]
-	if !haveRTT {
-		rtt = m.measureRTT(comm, clk, ref, client)
-		m.rtt[key] = rtt
-	}
-	if me == ref {
+	if comm.Rank() == ref {
 		for i := 0; i < n; i++ {
 			comm.RecvF64(client, tagPing)
 			tLocal := serveReading(comm, clk)
@@ -162,7 +187,7 @@ func (m *MeanRTTOffset) MeasureOffset(comm *mpi.Comm, clk clock.Clock, ref, clie
 // clients sequentially (JK), a client's first ping can sit in the
 // reference's queue for a long time, and a mean — unlike the median the
 // offset sampling uses — would be destroyed by that single outlier.
-func (m *MeanRTTOffset) measureRTT(comm *mpi.Comm, clk clock.Clock, ref, client int) float64 {
+func (m MeanRTTOffset) measureRTT(comm *mpi.Comm, clk clock.Clock, ref, client int) float64 {
 	k := m.NRTT
 	if k <= 0 {
 		k = m.NExchanges

@@ -63,7 +63,7 @@ func TestMeanRTTOffsetMeasuresTrueOffset(t *testing.T) {
 		if p.Rank() != ref && p.Rank() != client {
 			return
 		}
-		alg := &MeanRTTOffset{NExchanges: 20}
+		alg := MeanRTTOffset{NExchanges: 20}
 		o := alg.MeasureOffset(p.World(), clock.NewLocal(p), ref, client)
 		if p.Rank() == client {
 			truth := trueOffset(p.Machine(), client, ref, p.TrueNow())
@@ -75,14 +75,14 @@ func TestMeanRTTOffsetMeasuresTrueOffset(t *testing.T) {
 }
 
 func TestMeanRTTCachesRTTPerPair(t *testing.T) {
-	// The second measurement must skip the RTT phase: it is visibly
-	// faster in simulated time.
+	// Within one Sync call's session the second measurement must skip the
+	// RTT phase: it is visibly faster in simulated time.
 	runSpec(t, noJitterBox(), 8, 23, func(p *mpi.Proc) {
 		const ref, client = 0, 4
 		if p.Rank() != ref && p.Rank() != client {
 			return
 		}
-		alg := &MeanRTTOffset{NExchanges: 10}
+		alg := MeanRTTOffset{NExchanges: 10}.forSync()
 		t0 := p.TrueNow()
 		alg.MeasureOffset(p.World(), clock.NewLocal(p), ref, client)
 		d1 := p.TrueNow() - t0
@@ -102,7 +102,7 @@ func TestOffsetAlgsOnIdenticalClocksNearZero(t *testing.T) {
 		if p.Rank() != ref && p.Rank() != client {
 			return
 		}
-		for _, alg := range []OffsetAlg{SKaMPIOffset{10}, &MeanRTTOffset{NExchanges: 10}} {
+		for _, alg := range []OffsetAlg{SKaMPIOffset{10}, MeanRTTOffset{NExchanges: 10}} {
 			o := alg.MeasureOffset(p.World(), clock.NewLocal(p), ref, client)
 			if p.Rank() == client && math.Abs(o.Offset) > 1e-7 {
 				t.Errorf("%s: offset %v on identical clocks", alg.Name(), o.Offset)
@@ -139,7 +139,7 @@ func TestOffsetNames(t *testing.T) {
 	if got := (SKaMPIOffset{NExchanges: 100}).Name(); got != "SKaMPI-Offset/100" {
 		t.Errorf("name = %q", got)
 	}
-	if got := (&MeanRTTOffset{NExchanges: 20}).Name(); got != "Mean-RTT-Offset/20" {
+	if got := (MeanRTTOffset{NExchanges: 20}).Name(); got != "Mean-RTT-Offset/20" {
 		t.Errorf("name = %q", got)
 	}
 }

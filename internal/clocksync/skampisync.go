@@ -35,7 +35,7 @@ func (s SKaMPISync) Name() string {
 // rounds, like the original), and wraps the base clock with a
 // constant-offset model (slope 0).
 func (s SKaMPISync) Sync(comm *mpi.Comm, clk clock.Clock) clock.Clock {
-	off := s.offset()
+	off := offsetForSync(s.offset())
 	r := comm.Rank()
 	if r == 0 {
 		for q := 1; q < comm.Size(); q++ {

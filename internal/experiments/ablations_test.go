@@ -3,10 +3,14 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"hclocksync/internal/clocksync"
+	"hclocksync/internal/cluster"
+	"hclocksync/internal/harness"
 )
 
 func TestAblationJKOffsetAlgRuns(t *testing.T) {
-	res, err := AblationJKOffsetAlg(nil, 8, 30, 10, 2)
+	res, err := AblationJKOffsetAlg(nil, TinyAblationsConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,14 +24,48 @@ func TestAblationJKOffsetAlgRuns(t *testing.T) {
 		t.Errorf("labels = %v", labels)
 	}
 	var b strings.Builder
-	PrintAblation(&b, "jk offset alg", res)
+	printAblation(&b, "jk offset alg", res)
 	if !strings.Contains(b.String(), "Ablation: jk offset alg") {
-		t.Error("PrintAblation output malformed")
+		t.Error("printAblation output malformed")
+	}
+}
+
+// TestMeanRTTConfigCarriesNoRunState runs one SyncAccuracyConfig value
+// twice, each time through a fresh single-job engine. Alg. 8's per-pair RTT
+// cache must live inside each rank's Sync call: if it were stored in the
+// configuration value, the second pass would reuse the first pass's RTTs
+// (and concurrent runs would race on them), and the outputs would differ.
+func TestMeanRTTConfigCarriesNoRunState(t *testing.T) {
+	spec := cluster.Jupiter()
+	spec.Nodes, spec.CoresPerSocket = 4, 1
+	cfg := SyncAccuracyConfig{
+		Job:      Job{Spec: spec, NProcs: 8, Seed: 11},
+		NRuns:    2,
+		WaitTime: 5,
+		Algorithms: []clocksync.Algorithm{clocksync.JK{Params: clocksync.Params{
+			NFitpoints: 30, Offset: clocksync.MeanRTTOffset{NExchanges: 10},
+		}}},
+		Check: clocksync.CheckConfig{Offset: clocksync.SKaMPIOffset{NExchanges: 10}},
+	}
+	render := func() string {
+		res, err := RunSyncAccuracy(harness.New(harness.Options{Jobs: 1}), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		res.Print(&b)
+		return b.String()
+	}
+	first, second := render(), render()
+	if first != second {
+		t.Errorf("the same config printed different results on a second pass:\n--- first\n%s--- second\n%s", first, second)
 	}
 }
 
 func TestAblationWanderMakesDriftNonlinear(t *testing.T) {
-	with, without, err := AblationWander(nil, 5, 120)
+	cfg := TinyAblationsConfig()
+	cfg.WanderProcs, cfg.Horizon = 5, 120
+	with, without, err := AblationWander(nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +81,7 @@ func TestAblationWanderMakesDriftNonlinear(t *testing.T) {
 }
 
 func TestAblationRecomputeInterceptRuns(t *testing.T) {
-	res, err := AblationRecomputeIntercept(nil, 8, 30, 10, 2)
+	res, err := AblationRecomputeIntercept(nil, TinyAblationsConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,9 +48,11 @@ func TestFig2DriftLinearityClaim(t *testing.T) {
 		t.Error("Print output missing fit columns")
 	}
 	b.Reset()
-	res.PrintSeries(&b)
+	if err := res.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.HasPrefix(b.String(), "rank,t_s,offset_us,fit_us") {
-		t.Error("PrintSeries missing header")
+		t.Error("WriteCSV missing header")
 	}
 }
 

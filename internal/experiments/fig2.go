@@ -151,19 +151,24 @@ func (r *Fig2Result) Print(w io.Writer) {
 	}
 }
 
-// PrintSeries emits (t, offset µs, fitted µs) series for plotting Figs. 2a
+// WriteCSV emits (t, offset µs, fitted µs) series for plotting Figs. 2a
 // and 2b. As in the paper's plot, each series is shifted so its first
 // sample reads zero (the raw offset includes the arbitrary boot-time clock
 // difference); the fit column is the full-horizon linear model evaluated
 // at t, on the same shifted axis — plotting it against the offsets shows
 // where the linearity assumption breaks (Fig. 2b).
-func (r *Fig2Result) PrintSeries(w io.Writer) {
-	fmt.Fprintln(w, "rank,t_s,offset_us,fit_us")
+func (r *Fig2Result) WriteCSV(w io.Writer) error {
+	if _, err := fmt.Fprintln(w, "rank,t_s,offset_us,fit_us"); err != nil {
+		return err
+	}
 	for _, s := range r.Series {
 		base := s.Points[0].Offset
 		for _, pt := range s.Points {
-			fmt.Fprintf(w, "%d,%.3f,%.3f,%.3f\n",
-				s.Rank, pt.T, us(pt.Offset-base), us(s.FullFit.At(pt.T)-base))
+			if _, err := fmt.Fprintf(w, "%d,%.3f,%.3f,%.3f\n",
+				s.Rank, pt.T, us(pt.Offset-base), us(s.FullFit.At(pt.T)-base)); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }

@@ -129,7 +129,7 @@ func fig8Run(cfg Fig8Config, seed int64) (map[mpi.BarrierAlg][]float64, error) {
 }
 
 // Print emits the distribution summary per barrier algorithm (the paper's
-// box plots).
+// box plots), then each distribution as a 12-bin histogram.
 func (r *Fig8Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "Fig. 8 — MPI_Barrier exit imbalance (%s, %d procs, %d calls x %d runs)\n",
 		r.Config.Job.Spec.Name, r.Config.Job.NProcs, r.Config.NCalls, r.Config.NRuns)
@@ -140,6 +140,7 @@ func (r *Fig8Result) Print(w io.Writer) {
 		fmt.Fprintf(w, "%-22s %8d %10.3f %10.3f %10.3f %10.3f %10.3f\n",
 			alg, s.N, us(s.Mean), us(s.Median), us(s.Q25), us(s.Q75), us(s.Max))
 	}
+	r.PrintHistograms(w, 12)
 }
 
 // PrintHistograms renders the per-barrier imbalance distributions as ASCII

@@ -43,12 +43,19 @@ type procConn struct {
 
 // read pumps the worker's stdout into the frame channel, closing it at
 // EOF — process death and clean exit look identical to the supervisor —
-// and then reaps the process. Sends race the kill signal rather than
+// and then reaps the process.
+func (c *procConn) read(stdout io.Reader) {
+	defer close(c.ch)
+	c.decode(stdout)
+	_ = c.cmd.Wait()
+}
+
+// decode delivers every well-formed frame line of stdout to the frame
+// channel and skips the rest. Sends race the kill signal rather than
 // blocking forever on an abandoned conn; only the reader ever sends, so
 // frames already delivered stay ordered and are never stolen from the
 // supervisor.
-func (c *procConn) read(stdout io.Reader) {
-	defer close(c.ch)
+func (c *procConn) decode(stdout io.Reader) {
 	sc := bufio.NewScanner(stdout)
 	sc.Buffer(make([]byte, 0, 64<<10), maxLine)
 	for sc.Scan() {
@@ -66,7 +73,6 @@ func (c *procConn) read(stdout io.Reader) {
 			}
 		}
 	}
-	_ = c.cmd.Wait()
 }
 
 func (c *procConn) send(req JobRequest) error {
