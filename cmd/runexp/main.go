@@ -28,24 +28,26 @@
 //
 // With -checkpoint, the run additionally maintains a single-file sweep
 // ledger (internal/checkpoint's sealed binary format, atomic
-// write-then-rename): every finished task's result and, for the
-// sync-accuracy, fig7, and faults suites — which then run phased (at the
-// end-of-sync barrier, between message sizes, and at the end of the FT
-// sync, respectively) — the latest mid-run cut snapshot of each in-flight
-// simulation. After a SIGKILL, rerunning the
-// same command line with -restore FILE serves finished tasks from the
-// ledger and resumes in-flight simulations from their last quiescent cut,
-// producing output byte-identical to an uninterrupted checkpointed run
-// (see DESIGN.md §11). Note phased execution is a different — equally
-// deterministic — schedule than unphased, so checkpointed sync-accuracy
-// outputs are not byte-comparable to non-checkpointed ones.
+// write-then-rename): every finished task's result and the latest mid-run
+// cut snapshot of each in-flight simulation that has cuts. Every
+// checkpointable mpirun is one list of phases run by one mechanism
+// (DESIGN.md §11), cut at the end of the sync (fig3–fig6, faults) or
+// between message sizes (fig7). Faults always runs with its cut, which
+// moves no result. fig3–fig6 and fig7 keep two schedules, both pinned by
+// golden hashes: back to back without -checkpoint, cut with it — so their
+// checkpointed outputs are deterministic but not byte-comparable to
+// non-checkpointed ones. After a SIGKILL, rerunning the same command line
+// with -restore FILE serves finished tasks from the ledger and resumes
+// in-flight simulations from their last quiescent cut, producing output
+// byte-identical to an uninterrupted checkpointed run; a -restore FILE
+// that does not exist is an error, not a fresh sweep.
 //
 // With -fabric N, simulations run in N supervised child *processes*
 // instead of in-process goroutines: runexp re-executes itself with -worker
 // N times and farms each task out over internal/fabric's leased, heartbeat-
 // monitored job protocol. The sweep survives arbitrary worker failure —
 // crashed or hung workers are detected, their jobs retried with
-// deterministic backoff on respawned processes, and phased tasks resume
+// deterministic backoff on respawned processes, and tasks with cuts resume
 // from the dead worker's last checkpoint cut, which migrates to the
 // adopting worker. Output stays byte-identical to the same run with
 // -jobs N (scripts/fabric_chaos.sh proves this under a SIGKILL schedule);
@@ -125,9 +127,10 @@ func seeded(seed int64, base *int64) {
 }
 
 // registry lists the runnable suites. With cut set (checkpointing active)
-// the sync-accuracy, fig7, and faults suites run phased, so a killed sweep resumes
-// from each mpirun's last quiescent cut; phased results are deterministic
-// but keyed and hashed separately from unphased ones. workers is the kernel dispatch
+// the sync-accuracy and fig7 suites take their cut schedule, so a killed
+// sweep resumes from each mpirun's last quiescent cut; those results are
+// deterministic but keyed and hashed separately from the back-to-back
+// ones. Faults has one schedule and always runs cut. workers is the kernel dispatch
 // parallelism (-workers): it reaches the scale suite's sharded step-proc
 // sweeps, where N > 1 engages sim.RunParallel, and the sync-accuracy jobs,
 // where today's fiber ranks make it a byte-identical no-op. It never enters
@@ -220,7 +223,6 @@ func registry(cut bool, workers int) []suiteDef {
 		}},
 		{name: "faults", title: "Faults — FT-HCA3 sync error under drop rate x crash count", run: func(eng *harness.Engine, tiny, smoke bool, seed int64) (printer, error) {
 			cfg := pick(tiny, experiments.TinyFaultsConfig, experiments.DefaultFaultsConfig)
-			cfg.Cut = cut
 			seeded(seed, &cfg.Job.Seed)
 			return experiments.RunFaults(eng, cfg)
 		}},
@@ -364,6 +366,12 @@ func main() {
 	if *ckptPath != "" {
 		ckpt = harness.NewCheckpointer(*ckptPath, *ckptEvery, "")
 		if *restore != "" {
+			// Load treats a missing file as an empty ledger, which is right
+			// for -checkpoint but would turn a mistyped -restore into a
+			// silent fresh sweep.
+			if _, err := os.Stat(*restore); err != nil {
+				fail(fmt.Errorf("restoring %s: %w", *restore, err))
+			}
 			if err := ckpt.Load(); err != nil {
 				fail(fmt.Errorf("restoring %s: %w", *restore, err))
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -98,5 +99,23 @@ func TestFabricMatchesJobs(t *testing.T) {
 	got := runexp(t, append(args, "-fabric", "2")...)
 	if !bytes.Equal(got, want) {
 		t.Errorf("-fabric 2 output differs from -jobs 2:\n--- -jobs 2\n%s--- -fabric 2\n%s", want, got)
+	}
+}
+
+// TestRestoreMissingLedgerFails pins -restore's contract: a ledger path
+// that does not exist, or is not a ledger file, fails the run before any
+// suite executes instead of silently starting a fresh sweep.
+func TestRestoreMissingLedgerFails(t *testing.T) {
+	dir := t.TempDir()
+	for _, path := range []string{filepath.Join(dir, "nosuch.ckpt"), dir} {
+		cmd := exec.Command(os.Args[0], "-suite", "table1", "-cache", "", "-quiet", "-restore", path)
+		cmd.Env = append(os.Environ(), "RUNEXP_TEST_MAIN=1")
+		out, err := cmd.Output()
+		if err == nil {
+			t.Errorf("-restore %s exited 0", path)
+		}
+		if len(out) != 0 {
+			t.Errorf("-restore %s ran suites before failing:\n%s", path, out)
+		}
 	}
 }

@@ -22,6 +22,14 @@
 // flag must not invalidate every old key), and wrong for a field whose
 // zero is a meaningful setting — the reason must say which one this is.
 //
+// The same visibility rule covers the cut state of a phased mpirun: the
+// type passed as internal/experiments.runPhases' state argument is
+// JSON-encoded into every cut snapshot, so a field the encoder skips is a
+// field a resumed run silently zeroes. Those structs are checked like
+// configs, recursing through slice and struct fields — except for the
+// omitempty rule: runPhases decodes into a zero value, so an omitted zero
+// comes back as the zero it was.
+//
 // What the analyzer cannot prove: that an execonly field truly does not
 // influence results (that is what the byte-identity tests at different
 // worker counts are for), or key hygiene for configs passed as
@@ -43,19 +51,38 @@ import (
 // in for the real package.
 var harnessPkg = "hclocksync/internal/harness"
 
+// phasesPkg owns runPhases, whose state argument rides every cut snapshot
+// as JSON; a variable for the same reason as harnessPkg.
+var phasesPkg = "hclocksync/internal/experiments"
+
+// use names what a checked struct's JSON encoding feeds, for diagnostics.
+type use struct {
+	noun    string // "<noun> field <ref> ..."
+	skipped string // what happens to a field the encoder skips
+	enters  string // what an encoded field does
+	omitted string // what happens to a zero omitempty field; "" if nothing
+}
+
+var (
+	keyUse = use{"cache-key", "never enters the key", "enters the key",
+		"drops out of the key, so a zero config and an absent one share cached results"}
+	stateUse = use{"cut-state", "never enters the cut snapshot, so a resumed run silently zeroes it", "is saved at the cut", ""}
+)
+
 var Analyzer = &analysis.Analyzer{
 	Name:       "cachekey",
-	Doc:        "config structs reaching harness.CacheKey must have every field JSON-visible or an audited execution-only knob",
+	Doc:        "config structs reaching harness.CacheKey, and cut state passed to runPhases, must have every field JSON-visible or an audited execution-only knob",
 	RunProgram: run,
 }
 
 func run(pass *analysis.ProgramPass) error {
 	structs := analysis.BuildStructIndex(pass.Prog.Pkgs)
 
-	// Collect the root config types: every concrete struct type that
-	// appears as a harness.Task Config element or as CacheKey's config
-	// argument anywhere in the program.
-	roots := map[string]bool{}
+	// Collect the root types: every concrete struct type that appears as
+	// a harness.Task Config element or as CacheKey's config argument, and
+	// every struct type runPhases' state argument mentions, anywhere in
+	// the program.
+	roots, states := map[string]bool{}, map[string]bool{}
 	for _, pkg := range pass.Prog.Pkgs {
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -64,16 +91,22 @@ func run(pass *analysis.ProgramPass) error {
 					collectTaskLit(pkg, n, roots)
 				case *ast.CallExpr:
 					collectCacheKeyCall(pkg, n, roots)
+					collectStateArg(pkg, n, states)
 				}
 				return true
 			})
 		}
 	}
 
-	checked := map[string]bool{}
-	for key := range roots { //synclint:ordered -- diagnostics are position-sorted by the framework afterwards
-		if sd, ok := structs[key]; ok {
-			check(pass, structs, sd, checked)
+	for _, r := range []struct {
+		roots map[string]bool
+		use   use
+	}{{roots, keyUse}, {states, stateUse}} {
+		checked := map[string]bool{}
+		for key := range r.roots { //synclint:ordered -- diagnostics are position-sorted by the framework afterwards
+			if sd, ok := structs[key]; ok {
+				check(pass, structs, sd, r.use, checked)
+			}
 		}
 	}
 	return nil
@@ -126,9 +159,24 @@ func collectCacheKeyCall(pkg *analysis.Package, call *ast.CallExpr, roots map[st
 	}
 }
 
-// check audits one config struct and recurses into the JSON-visible
-// struct-typed fields (they enter the key too).
-func check(pass *analysis.ProgramPass, structs analysis.StructIndex, sd *analysis.StructDecl, checked map[string]bool) {
+// collectStateArg records the struct type mentioned by the state argument
+// of a runPhases call, looking through the pointer and any slices.
+func collectStateArg(pkg *analysis.Package, call *ast.CallExpr, states map[string]bool) {
+	if !analysis.IsPkgFunc(pkg.Info, call, phasesPkg, "runPhases") {
+		return
+	}
+	const stateArg = 3
+	if len(call.Args) <= stateArg {
+		return
+	}
+	if ref, ok := analysis.NamedStructRef(pkg, call.Args[stateArg]); ok {
+		states[ref.String()] = true
+	}
+}
+
+// check audits one struct for use u and recurses into the JSON-visible
+// struct-typed fields (they are encoded too).
+func check(pass *analysis.ProgramPass, structs analysis.StructIndex, sd *analysis.StructDecl, u use, checked map[string]bool) {
 	if checked[sd.Ref().String()] {
 		return
 	}
@@ -143,23 +191,23 @@ func check(pass *analysis.ProgramPass, structs analysis.StructIndex, sd *analysi
 		case name == "-" && jsonTag == "-":
 			// Execution-only by tag: must carry the audit.
 			if _, ok := sd.FieldDirective(dirs, fld, analysis.DirExeconly); !ok {
-				pass.Reportf(sd.Pkg, fld.Pos(), "cache-key field %s is tagged json:\"-\" but not annotated: results must not depend on it; audit with //synclint:execonly -- <reason> (or drop the tag so it enters the key)", ref)
+				pass.Reportf(sd.Pkg, fld.Pos(), "%s field %s is tagged json:\"-\" but not annotated: results must not depend on it; audit with //synclint:execonly -- <reason> (or drop the tag so it %s)", u.noun, ref, u.enters)
 			}
 		case !exported:
 			// The JSON encoder skips unexported fields, so this is an
 			// untagged execution-only field.
 			if _, ok := sd.FieldDirective(dirs, fld, analysis.DirExeconly); !ok {
-				pass.Reportf(sd.Pkg, fld.Pos(), "cache-key field %s is unexported and never enters the key: export it, or audit with //synclint:execonly -- <reason>", ref)
+				pass.Reportf(sd.Pkg, fld.Pos(), "%s field %s is unexported and %s: export it, or audit with //synclint:execonly -- <reason>", u.noun, ref, u.skipped)
 			}
 		default:
-			if hasOpt(opts, "omitempty") {
+			if u.omitted != "" && hasOpt(opts, "omitempty") {
 				if _, ok := sd.FieldDirective(dirs, fld, analysis.DirZerokey); !ok {
-					pass.Reportf(sd.Pkg, fld.Pos(), "cache-key field %s is omitempty: the zero value drops out of the key, so a zero config and an absent one share cached results; audit with //synclint:zerokey -- <reason> (or remove omitempty)", ref)
+					pass.Reportf(sd.Pkg, fld.Pos(), "%s field %s is omitempty: the zero value %s; audit with //synclint:zerokey -- <reason> (or remove omitempty)", u.noun, ref, u.omitted)
 				}
 			}
 			if sub, ok := analysis.NamedStructRef(sd.Pkg, fld.Type); ok {
 				if subDecl, ok := structs[sub.String()]; ok {
-					check(pass, structs, subDecl, checked)
+					check(pass, structs, subDecl, u, checked)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 // Package a is the cachekey fixture; the test points the analyzer's
-// harness package at it, so the local Task and CacheKey stand in for
-// hclocksync/internal/harness.
+// harness and phases packages at it, so the local Task, CacheKey, and
+// runPhases stand in for hclocksync/internal/harness and
+// hclocksync/internal/experiments.
 package a
 
 // Task mirrors harness.Task's Config-carrying shape.
@@ -59,4 +60,53 @@ func use() []string {
 	// value was built, so this call records nothing new.
 	keys = append(keys, CacheKey("v1", t2.Suite, t2.Name, 7, t2.Config))
 	return keys
+}
+
+// runPhases mirrors the experiments phase runner: state is argument 3 and
+// is JSON-encoded into every cut snapshot.
+func runPhases[S any](cfg int, cut bool, ckpt any, state *S, phases ...func(int)) error {
+	return nil
+}
+
+// rankState reaches runPhases through a slice; its hidden fields would
+// be zeroed by a resume.
+type rankState struct {
+	Clock   clockState
+	End     float64
+	scratch []float64 // want `cut-state field a\.rankState\.scratch is unexported and never enters the cut snapshot`
+	Tmp     int       `json:"-"` // want `cut-state field a\.rankState\.Tmp is tagged json:"-" but not annotated`
+}
+
+// clockState is reachable through rankState.Clock, and model through its
+// Models slice, so their fields are obligated too.
+type clockState struct {
+	Models []model
+}
+
+type model struct {
+	Slope     float64
+	intercept float64 // want `cut-state field a\.model\.intercept is unexported`
+}
+
+// cellState carries the audits the rule demands. Its omitempty field
+// needs none: the state decodes into a zero value, so an omitted zero
+// comes back as zero.
+type cellState struct {
+	Lats  []float64
+	Cache []float64 `json:"-"` //synclint:execonly -- memo rebuilt from Lats by every phase that reads it
+	Done  int       `json:",omitempty"`
+}
+
+func phased() error {
+	ranks := make([]rankState, 4)
+	var cell cellState
+	if err := runPhases(0, true, nil, &ranks); err != nil {
+		return err
+	}
+	// A non-struct state names no fields to audit.
+	lats := make([]float64, 3)
+	if err := runPhases(0, true, nil, &lats); err != nil {
+		return err
+	}
+	return runPhases(0, true, nil, &cell)
 }

@@ -15,8 +15,8 @@ import (
 
 // Session is one checkpointed MPI job: the full mid-run state captured at a
 // quiescent cut, plus the application's own cross-phase payload (for the
-// experiment harnesses: per-rank synchronized-clock models and phase
-// timings, serialized by the experiment that owns them).
+// experiment harnesses: one blob, the JSON encoding of the state their
+// phases carry — see internal/experiments' runPhases).
 //
 //synclint:snapshot
 type Session struct {

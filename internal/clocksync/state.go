@@ -12,8 +12,9 @@ import "hclocksync/internal/clock"
 
 // SyncState is the serializable state of one rank's synchronized clock: the
 // drift models from innermost (closest to the hardware clock) to outermost.
-//
-//synclint:snapshot
+// Phased experiments carry it across cuts as JSON, which round-trips every
+// float64 bit-exactly; synclint's cachekey analyzer keeps its fields
+// JSON-visible.
 type SyncState struct {
 	Models []clock.LinearModel
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 
 	"hclocksync/internal/clock"
 	"hclocksync/internal/clocksync"
@@ -37,13 +36,6 @@ type FaultsConfig struct {
 	// ground truth is simulator-only — so the measurement itself cannot
 	// deadlock at any drop rate.
 	Horizon float64
-	// Cut runs each cell as two session phases split at the end of the
-	// fault-tolerant sync, so a killed sweep resumes from the cut instead
-	// of re-synchronizing (see faultsRunPhased). Phased execution is a
-	// different — equally deterministic — schedule: readings assemble in
-	// rank order rather than completion order, so faultscut pins its own
-	// golden hash.
-	Cut bool
 }
 
 // FaultsRun is one (drop rate, crash count, replication) outcome.
@@ -83,9 +75,6 @@ type faultsTask struct {
 	Schedule faults.PlanConfig
 	Horizon  float64
 	Run      int
-	// Cut is omitted when false so enabling phased execution leaves the
-	// unphased cache keys untouched.
-	Cut bool `json:",omitempty"` //synclint:zerokey -- false is the unphased run, which is what pre-cut cache keys already name
 }
 
 // RunFaults executes the sweep through the engine, one task per
@@ -110,27 +99,18 @@ func RunFaults(eng *harness.Engine, cfg FaultsConfig) (*FaultsResult, error) {
 	for _, drop := range cfg.DropRates {
 		for _, crashes := range cfg.CrashCounts {
 			for run := 0; run < cfg.NRuns; run++ {
-				drop, crashes, run := drop, crashes, run
-				t := harness.Task[FaultsRun]{
+				tasks = append(tasks, harness.Task[FaultsRun]{
 					Name:    fmt.Sprintf("drop%g/crash%d/run%d", drop, crashes, run),
 					SeedKey: seedKeyRun(run),
 					Config: faultsTask{
 						Job: cfg.Job, Drop: drop, Crashes: crashes,
 						NFit: cfg.NFitpoints, FT: cfg.FT,
 						Schedule: cfg.Schedule, Horizon: cfg.Horizon, Run: run,
-						Cut: cfg.Cut,
 					},
-				}
-				if cfg.Cut {
-					t.RunPhased = func(seed int64, ckpt harness.TaskCheckpoint) (FaultsRun, error) {
-						return faultsRunPhased(cfg, drop, crashes, run, seed, ckpt)
-					}
-				} else {
-					t.Run = func(seed int64) (FaultsRun, error) {
-						return faultsRun(cfg, drop, crashes, run, seed)
-					}
-				}
-				tasks = append(tasks, t)
+					RunPhased: func(seed int64, ckpt harness.TaskCheckpoint) (FaultsRun, error) {
+						return faultsRun(cfg, drop, crashes, run, seed, ckpt)
+					},
+				})
 			}
 		}
 	}
@@ -141,68 +121,78 @@ func RunFaults(eng *harness.Engine, cfg FaultsConfig) (*FaultsResult, error) {
 	return &FaultsResult{Config: cfg, Runs: runs}, nil
 }
 
+// faultsRank is what one rank carries from the fault-tolerant sync to the
+// ground-truth sampling: its sync report, its synchronized clock, and the
+// true time its sync ended.
+type faultsRank struct {
+	Rep   clocksync.RankSync
+	Clock clocksync.SyncState
+	End   float64
+}
+
 // faultsRun executes one cell replication with the given derived seed. The
 // fault plan is a pure function of (schedule, nprocs, seed), which is what
-// makes a run replayable from its manifest seed alone.
-func faultsRun(cfg FaultsConfig, drop float64, crashes, run int, seed int64) (FaultsRun, error) {
+// makes a run replayable from its manifest seed alone. It always runs as
+// two session phases, split at the end of the sync: the second phase does
+// no communication, so the cut moves no result, and with a checkpointer a
+// killed sweep resumes from it instead of re-synchronizing.
+func faultsRun(cfg FaultsConfig, drop float64, crashes, run int, seed int64, ckpt harness.TaskCheckpoint) (FaultsRun, error) {
 	job := cfg.Job
 	job.Seed = seed
 	sched := cfg.Schedule
 	sched.DropProb = drop
 	sched.NCrashes = crashes
-	plan := sched.Derive(job.NProcs, seed)
+	mcfg := job.config()
+	mcfg.Faults = faults.NewInjector(sched.Derive(job.NProcs, seed))
 	alg := clocksync.HCA3FT{NFitpoints: cfg.NFitpoints, Opts: cfg.FT}
+	fail := func(err error) (FaultsRun, error) {
+		return FaultsRun{}, fmt.Errorf("drop %g crashes %d run %d: %w", drop, crashes, run, err)
+	}
+
+	ranks := make([]faultsRank, job.NProcs)
+	readings := make([]float64, job.NProcs)
+	sampled := make([]bool, job.NProcs)
+	err := runPhases(mcfg, true, ckpt, &ranks,
+		func(p *mpi.Proc) {
+			g, rep := alg.SyncFT(p.World(), clock.NewLocal(p))
+			ranks[p.Rank()] = faultsRank{Rep: rep, Clock: clocksync.CaptureClock(g), End: p.TrueNow()}
+		},
+		// Evaluate every survivor's global clock at the horizon. Ranks
+		// whose crash struck before the cut are not respawned; the Alive
+		// guard also skips those that crashed mid-sync.
+		func(p *mpi.Proc) {
+			me := ranks[p.Rank()]
+			if !me.Rep.Alive {
+				return
+			}
+			_, m := clock.Collapse(me.Clock.Rebuild(clock.NewLocal(p)))
+			l := p.HWClock().ReadAt(cfg.Horizon)
+			readings[p.Rank()] = l - m.Predict(l)
+			sampled[p.Rank()] = true
+		})
+	if err != nil {
+		return fail(err)
+	}
 
 	row := FaultsRun{
 		DropProb: drop, Crashes: crashes, Run: run,
 		PerRank: make([]clocksync.RankSync, job.NProcs),
 	}
-	var mu sync.Mutex
-	var readings []float64
+	var alive []float64
 	var lastEnd float64
-	err := mpi.Run(mpi.Config{
-		Spec:        job.Spec,
-		NProcs:      job.NProcs,
-		Mapping:     job.Mapping,
-		Seed:        job.Seed,
-		ClockSource: job.ClockSource,
-		Barrier:     job.Barrier,
-		Allreduce:   job.Allreduce,
-		Faults:      faults.NewInjector(plan),
-	}, func(p *mpi.Proc) {
-		g, rep := alg.SyncFT(p.World(), clock.NewLocal(p))
-		end := p.TrueNow()
-		_, m := clock.Collapse(g)
-		l := p.HWClock().ReadAt(cfg.Horizon)
-		mu.Lock()
-		defer mu.Unlock()
-		row.PerRank[p.Rank()] = rep
-		if !rep.Alive {
-			return
+	for r, rk := range ranks {
+		row.PerRank[r] = rk.Rep
+		if rk.Rep.Alive {
+			lastEnd = math.Max(lastEnd, rk.End)
 		}
-		if end > lastEnd {
-			lastEnd = end
+		if sampled[r] {
+			alive = append(alive, readings[r])
 		}
-		readings = append(readings, l-m.Predict(l))
-	})
-	if err != nil {
-		return FaultsRun{}, fmt.Errorf("drop %g crashes %d run %d: %w", drop, crashes, run, err)
 	}
-	if err := faultsFinish(cfg, &row, readings, lastEnd); err != nil {
-		return FaultsRun{}, err
-	}
-	return row, nil
-}
-
-// faultsFinish assembles the survivor statistics shared by the unphased
-// and phased pipelines: horizon sanity, survivor/degraded counts, loss
-// fraction, and the ground-truth spread of the readings.
-func faultsFinish(cfg FaultsConfig, row *FaultsRun, readings []float64, lastEnd float64) error {
 	if lastEnd > cfg.Horizon {
-		return fmt.Errorf("drop %g crashes %d run %d: sync ended at %.3f s, past the %.3f s horizon",
-			row.DropProb, row.Crashes, row.Run, lastEnd, cfg.Horizon)
+		return fail(fmt.Errorf("sync ended at %.3f s, past the %.3f s horizon", lastEnd, cfg.Horizon))
 	}
-	row.Survivors = len(readings)
+	row.Survivors = len(alive)
 	row.Duration = lastEnd
 	var kept, lost int
 	for _, rep := range row.PerRank {
@@ -215,14 +205,14 @@ func faultsFinish(cfg FaultsConfig, row *FaultsRun, readings []float64, lastEnd 
 	if kept+lost > 0 {
 		row.LostFrac = float64(lost) / float64(kept+lost)
 	}
-	if len(readings) > 0 {
-		row.TrueSpread = spread(readings)
-		mean := stats.Mean(readings)
-		for _, v := range readings {
+	if len(alive) > 0 {
+		row.TrueSpread = spread(alive)
+		mean := stats.Mean(alive)
+		for _, v := range alive {
 			row.MaxAbsErr = math.Max(row.MaxAbsErr, math.Abs(v-mean))
 		}
 	}
-	return nil
+	return row, nil
 }
 
 // Print emits one row per run plus per-cell means — the sync-error

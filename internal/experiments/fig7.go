@@ -1,14 +1,10 @@
 package experiments
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
-	"sync"
 
 	"hclocksync/internal/bench"
-	"hclocksync/internal/checkpoint"
 	"hclocksync/internal/cluster"
 	"hclocksync/internal/harness"
 	"hclocksync/internal/mpi"
@@ -25,12 +21,12 @@ type Fig7Config struct {
 	MSizes   []int
 	NRep     int
 	// Cut runs each (suite, barrier) cell as one session phase per message
-	// size, snapshotting the whole job between sizes when the engine has a
+	// size, saving the whole job between sizes when the engine has a
 	// checkpointer — a killed sweep resumes from the last finished size
-	// instead of re-measuring the cell from scratch. Phase respawn happens
-	// at the global virtual time of the cut, so phased results are
-	// deterministic but not byte-identical to unphased ones; the flag is
-	// part of the cache key.
+	// instead of re-measuring the cell from scratch. Each phase respawns
+	// every rank at the cut's global virtual time, so results are
+	// deterministic but not byte-identical to the back-to-back run; the
+	// flag is part of the cache key.
 	Cut bool
 }
 
@@ -82,26 +78,18 @@ func RunFig7(eng *harness.Engine, cfg Fig7Config) (*Fig7Result, error) {
 	var tasks []harness.Task[[]Fig7Row]
 	for _, suite := range cfg.Suites {
 		for _, barrier := range cfg.Barriers {
-			suite, barrier := suite, barrier
 			name := fmt.Sprintf("%s/%s", suite, barrier)
-			t := harness.Task[[]Fig7Row]{
+			tasks = append(tasks, harness.Task[[]Fig7Row]{
 				Name:    name,
 				SeedKey: name,
 				Config: fig7Task{
 					Job: cfg.Job, Suite: string(suite), Barrier: barrier.String(),
 					MSizes: cfg.MSizes, NRep: cfg.NRep, Cut: cfg.Cut,
 				},
-			}
-			if cfg.Cut {
-				t.RunPhased = func(seed int64, ckpt harness.TaskCheckpoint) ([]Fig7Row, error) {
-					return fig7CellPhased(cfg, suite, barrier, seed, ckpt)
-				}
-			} else {
-				t.Run = func(seed int64) ([]Fig7Row, error) {
-					return fig7Cell(cfg, suite, barrier, seed)
-				}
-			}
-			tasks = append(tasks, t)
+				RunPhased: func(seed int64, ckpt harness.TaskCheckpoint) ([]Fig7Row, error) {
+					return fig7Cell(cfg, suite, barrier, seed, ckpt)
+				},
+			})
 		}
 	}
 	cells, err := harness.Run(eng, "fig7", cfg.Job.Seed, tasks)
@@ -115,112 +103,29 @@ func RunFig7(eng *harness.Engine, cfg Fig7Config) (*Fig7Result, error) {
 	return res, nil
 }
 
-// fig7Cell measures one (suite, barrier) pair across all message sizes.
-func fig7Cell(cfg Fig7Config, suite bench.Suite, barrier mpi.BarrierAlg, seed int64) ([]Fig7Row, error) {
-	var mu sync.Mutex
-	lats := make(map[int]float64)
+// fig7Cell measures one (suite, barrier) pair across all message sizes,
+// one phase per size; rank 0 records each size's latency.
+func fig7Cell(cfg Fig7Config, suite bench.Suite, barrier mpi.BarrierAlg,
+	seed int64, ckpt harness.TaskCheckpoint) ([]Fig7Row, error) {
 	job := cfg.Job
 	job.Seed = seed
-	err := job.run(func(p *mpi.Proc) {
-		for _, msize := range cfg.MSizes {
+	lats := make([]float64, len(cfg.MSizes))
+	phases := make([]func(*mpi.Proc), len(cfg.MSizes))
+	for k, msize := range cfg.MSizes {
+		phases[k] = func(p *mpi.Proc) {
 			op := bench.AllreduceOp(msize, mpi.AllreduceRecursiveDoubling)
 			lat := bench.RunSuite(p.World(), suite, op, bench.SuiteConfig{
 				NRep:    cfg.NRep,
 				Barrier: barrier,
 			})
 			if p.Rank() == 0 {
-				mu.Lock()
-				lats[msize] = lat
-				mu.Unlock()
+				lats[k] = lat
 			}
 		}
-	})
-	if err != nil {
+	}
+	if err := runPhases(job.config(), cfg.Cut, ckpt, &lats, phases...); err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", suite, barrier, err)
 	}
-	rows := make([]Fig7Row, 0, len(cfg.MSizes))
-	for _, msize := range cfg.MSizes {
-		rows = append(rows, Fig7Row{
-			Suite: suite, Barrier: barrier, MSize: msize, Latency: lats[msize],
-		})
-	}
-	return rows, nil
-}
-
-// fig7CellPhased is the phased counterpart of fig7Cell: the same cell split
-// into one session phase per message size. With a nil checkpoint handle it
-// runs the phases back to back (the baseline the fig7cut golden pins); with
-// a handle it snapshots the whole job after each finished size — the cut
-// number is the count of completed sizes, and the application payload is
-// rank 0's latencies so far — and resumes from the latest cut a killed
-// sweep left behind.
-func fig7CellPhased(cfg Fig7Config, suite bench.Suite, barrier mpi.BarrierAlg,
-	seed int64, ckpt harness.TaskCheckpoint) ([]Fig7Row, error) {
-	job := cfg.Job
-	job.Seed = seed
-	fail := func(err error) ([]Fig7Row, error) {
-		return nil, fmt.Errorf("%s/%s: %w", suite, barrier, err)
-	}
-
-	var s *mpi.Session
-	var lats []float64
-	cut := 0
-	if ckpt != nil {
-		if c, snap, ok := ckpt.Latest(); ok {
-			decoded, err := checkpoint.DecodeSession(snap)
-			if err != nil {
-				return fail(fmt.Errorf("decoding cut snapshot: %w", err))
-			}
-			resumed, err := mpi.ResumeSession(job.config(), decoded.State)
-			if err != nil {
-				return fail(fmt.Errorf("resuming from cut %d: %w", c, err))
-			}
-			lats, err = decodeFig7Cut(decoded.App, c, len(cfg.MSizes))
-			if err != nil {
-				return fail(fmt.Errorf("decoding cut %d payload: %w", c, err))
-			}
-			s, cut = resumed, c
-		}
-	}
-	if s == nil {
-		fresh, err := mpi.NewSession(job.config())
-		if err != nil {
-			return fail(err)
-		}
-		s = fresh
-	}
-
-	for k := cut; k < len(cfg.MSizes); k++ {
-		msize := cfg.MSizes[k]
-		var mu sync.Mutex
-		var lat float64
-		err := s.RunPhase(func(p *mpi.Proc) {
-			op := bench.AllreduceOp(msize, mpi.AllreduceRecursiveDoubling)
-			l := bench.RunSuite(p.World(), suite, op, bench.SuiteConfig{
-				NRep:    cfg.NRep,
-				Barrier: barrier,
-			})
-			if p.Rank() == 0 {
-				mu.Lock()
-				lat = l
-				mu.Unlock()
-			}
-		})
-		if err != nil {
-			return fail(err)
-		}
-		lats = append(lats, lat)
-		if ckpt != nil && k+1 < len(cfg.MSizes) {
-			st, err := s.Snapshot()
-			if err != nil {
-				return fail(fmt.Errorf("snapshot at cut %d: %w", k+1, err))
-			}
-			ckpt.Save(k+1, checkpoint.EncodeSession(&checkpoint.Session{
-				Cut: k + 1, State: st, App: [][]byte{appendF64s(nil, lats...)},
-			}))
-		}
-	}
-
 	rows := make([]Fig7Row, 0, len(cfg.MSizes))
 	for i, msize := range cfg.MSizes {
 		rows = append(rows, Fig7Row{
@@ -228,26 +133,6 @@ func fig7CellPhased(cfg Fig7Config, suite bench.Suite, barrier mpi.BarrierAlg,
 		})
 	}
 	return rows, nil
-}
-
-// decodeFig7Cut validates and decodes the phased cell's payload: one blob of
-// cut little-endian float64 latencies, one per completed message size.
-func decodeFig7Cut(app [][]byte, cut, nsizes int) ([]float64, error) {
-	if len(app) != 1 {
-		return nil, fmt.Errorf("payload has %d blobs, want 1", len(app))
-	}
-	if cut < 1 || cut >= nsizes {
-		return nil, fmt.Errorf("cut %d out of range [1,%d)", cut, nsizes)
-	}
-	b := app[0]
-	if len(b) != cut*8 {
-		return nil, fmt.Errorf("payload blob is %d bytes, want %d", len(b), cut*8)
-	}
-	lats := make([]float64, cut)
-	for i := range lats {
-		lats[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return lats, nil
 }
 
 // Print emits the figure's panels: per message size, latency by

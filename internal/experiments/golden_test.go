@@ -50,11 +50,11 @@ func goldenSuites() []goldenSuite {
 			return b.String(), nil
 		}},
 		{"fig3cut", func(eng *harness.Engine) (string, error) {
-			// The phased (checkpointable) fig3 pipeline. Its schedule
-			// differs from unphased fig3 — phase B respawns every rank at
+			// The cut (checkpointable) fig3 schedule. It differs from the
+			// back-to-back one — the accuracy phase respawns every rank at
 			// the cut's global virtual time — so it pins its own hash; the
-			// plain fig3 hash proves cut-mode support left the unphased
-			// path untouched.
+			// plain fig3 hash proves the phase mechanism left the
+			// back-to-back schedule untouched.
 			cfg := TinyFig3Config()
 			cfg.Cut = true
 			res, err := RunSyncAccuracy(eng, cfg)
@@ -75,11 +75,11 @@ func goldenSuites() []goldenSuite {
 			return b.String(), nil
 		}},
 		{"fig7cut", func(eng *harness.Engine) (string, error) {
-			// The phased (checkpointable) fig7 pipeline: one session phase
-			// per message size. As with fig3cut, its schedule differs from
-			// the unphased cell, so it pins its own hash while the plain
-			// fig7 hash proves cut-mode support left the unphased path
-			// untouched.
+			// The cut (checkpointable) fig7 schedule: one session phase per
+			// message size. As with fig3cut, it differs from the
+			// back-to-back cell, so it pins its own hash while the plain
+			// fig7 hash proves the phase mechanism left the back-to-back
+			// schedule untouched.
 			cfg := TinyFig7Config()
 			cfg.Cut = true
 			res, err := RunFig7(eng, cfg)
@@ -91,23 +91,10 @@ func goldenSuites() []goldenSuite {
 			return b.String(), nil
 		}},
 		{"faults", func(eng *harness.Engine) (string, error) {
+			// Faults has one schedule: it always runs cut, since its
+			// second phase does no communication and the cut moves no
+			// result.
 			res, err := RunFaults(eng, TinyFaultsConfig())
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			res.Print(&b)
-			return b.String(), nil
-		}},
-		{"faultscut", func(eng *harness.Engine) (string, error) {
-			// The phased (checkpointable) faults pipeline. As with fig3cut,
-			// its schedule differs from the unphased suite — phase B collects
-			// readings in rank order instead of completion order — so it pins
-			// its own hash while the plain faults hash proves cut-mode support
-			// left the unphased path untouched.
-			cfg := TinyFaultsConfig()
-			cfg.Cut = true
-			res, err := RunFaults(eng, cfg)
 			if err != nil {
 				return "", err
 			}

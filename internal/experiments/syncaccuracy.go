@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"hclocksync/internal/clock"
 	"hclocksync/internal/clocksync"
@@ -24,12 +23,12 @@ type SyncAccuracyConfig struct {
 	WaitTime   float64
 	Check      clocksync.CheckConfig
 	// Cut runs each mpirun as two session phases split at the end-of-sync
-	// barrier (sync, then accuracy check), snapshotting the whole job at
-	// the cut when the engine has a checkpointer — a killed sweep resumes
-	// from the cut instead of re-synchronizing. Phase respawn happens at
-	// the global virtual time of the cut, so phased results are
-	// deterministic but not byte-identical to unphased ones; the flag is
-	// part of the cache key.
+	// allreduce (sync, then accuracy check), saving the whole job at the
+	// cut when the engine has a checkpointer — a killed sweep resumes from
+	// the cut instead of re-synchronizing. The second phase respawns every
+	// rank at the cut's global virtual time, so results are deterministic
+	// but not byte-identical to the back-to-back run; the flag is part of
+	// the cache key.
 	Cut bool
 }
 
@@ -80,8 +79,7 @@ func RunSyncAccuracy(eng *harness.Engine, cfg SyncAccuracyConfig) (*SyncAccuracy
 	var tasks []harness.Task[SyncRun]
 	for _, alg := range cfg.Algorithms {
 		for run := 0; run < cfg.NRuns; run++ {
-			alg, run := alg, run
-			t := harness.Task[SyncRun]{
+			tasks = append(tasks, harness.Task[SyncRun]{
 				Name:    fmt.Sprintf("%s/run%d", alg.Name(), run),
 				SeedKey: seedKeyRun(run),
 				Config: syncTask{
@@ -89,17 +87,10 @@ func RunSyncAccuracy(eng *harness.Engine, cfg SyncAccuracyConfig) (*SyncAccuracy
 					WaitTime: cfg.WaitTime, Check: desc(check), Run: run,
 					Cut: cfg.Cut,
 				},
-			}
-			if cfg.Cut {
-				t.RunPhased = func(seed int64, ckpt harness.TaskCheckpoint) (SyncRun, error) {
-					return syncAccuracyRunPhased(cfg.Job, alg, run, seed, cfg.WaitTime, check, ckpt)
-				}
-			} else {
-				t.Run = func(seed int64) (SyncRun, error) {
-					return syncAccuracyRun(cfg.Job, alg, run, seed, cfg.WaitTime, check)
-				}
-			}
-			tasks = append(tasks, t)
+				RunPhased: func(seed int64, ckpt harness.TaskCheckpoint) (SyncRun, error) {
+					return syncAccuracyRun(cfg.Job, alg, run, seed, cfg.WaitTime, check, cfg.Cut, ckpt)
+				},
+			})
 		}
 	}
 	runs, err := harness.Run(eng, "syncaccuracy", cfg.Job.Seed, tasks)
@@ -109,40 +100,49 @@ func RunSyncAccuracy(eng *harness.Engine, cfg SyncAccuracyConfig) (*SyncAccuracy
 	return &SyncAccuracyResult{Config: cfg, Runs: runs}, nil
 }
 
+// syncRank is what one rank carries from the sync phase to the accuracy
+// check: its synchronized clock and its own view of the sync's start and
+// (allreduced) end.
+type syncRank struct {
+	Clock   clocksync.SyncState
+	T0, End float64
+}
+
 // syncAccuracyRun executes one (algorithm, replication) mpirun with the
-// given derived seed.
+// given derived seed: the sync phase, then the accuracy check with the
+// ground truth at the common instants end and end+wait.
 func syncAccuracyRun(base Job, alg clocksync.Algorithm, run int, seed int64,
-	wait float64, check clocksync.CheckConfig) (SyncRun, error) {
+	wait float64, check clocksync.CheckConfig, cut bool, ckpt harness.TaskCheckpoint) (SyncRun, error) {
 	job := base
 	job.Seed = seed
 	row := SyncRun{Label: alg.Name(), Run: run}
-	var mu sync.Mutex
+	ranks := make([]syncRank, job.NProcs)
 	readings0 := make([]float64, job.NProcs)
 	readingsW := make([]float64, job.NProcs)
-	err := job.run(func(p *mpi.Proc) {
-		comm := p.World()
-		comm.Barrier()
-		t0 := p.TrueNow()
-		g := alg.Sync(comm, clock.NewLocal(p))
-		end := comm.AllreduceF64(p.TrueNow(), mpi.OpMax)
-		samples := clocksync.CheckAccuracy(comm, g, check)
-		// Ground truth: evaluate every rank's global clock at the
-		// common instants end and end+wait.
-		_, m := clock.Collapse(g)
-		hw := p.HWClock()
-		l0, lw := hw.ReadAt(end), hw.ReadAt(end+wait)
-		mu.Lock()
-		readings0[comm.Rank()] = l0 - m.Predict(l0)
-		readingsW[comm.Rank()] = lw - m.Predict(lw)
-		mu.Unlock()
-		if comm.Rank() == 0 {
-			at0, atW := clocksync.MaxAbsOffsets(samples)
-			mu.Lock()
-			row.Duration = end - t0
-			row.MaxAbs0, row.MaxAbsW = at0, atW
-			mu.Unlock()
-		}
-	})
+	err := runPhases(job.config(), cut, ckpt, &ranks,
+		func(p *mpi.Proc) {
+			comm := p.World()
+			comm.Barrier()
+			t0 := p.TrueNow()
+			g := alg.Sync(comm, clock.NewLocal(p))
+			end := comm.AllreduceF64(p.TrueNow(), mpi.OpMax)
+			ranks[comm.Rank()] = syncRank{Clock: clocksync.CaptureClock(g), T0: t0, End: end}
+		},
+		func(p *mpi.Proc) {
+			comm := p.World()
+			me := ranks[comm.Rank()]
+			g := me.Clock.Rebuild(clock.NewLocal(p))
+			samples := clocksync.CheckAccuracy(comm, g, check)
+			_, m := clock.Collapse(g)
+			hw := p.HWClock()
+			l0, lw := hw.ReadAt(me.End), hw.ReadAt(me.End+wait)
+			readings0[comm.Rank()] = l0 - m.Predict(l0)
+			readingsW[comm.Rank()] = lw - m.Predict(lw)
+			if comm.Rank() == 0 {
+				row.Duration = me.End - me.T0
+				row.MaxAbs0, row.MaxAbsW = clocksync.MaxAbsOffsets(samples)
+			}
+		})
 	if err != nil {
 		return SyncRun{}, fmt.Errorf("%s run %d: %w", alg.Name(), run, err)
 	}

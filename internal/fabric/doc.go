@@ -20,8 +20,8 @@
 // stateless job servers speaking a line-delimited JSON protocol on
 // stdin/stdout (proto.go): the coordinator writes one JobRequest per line;
 // the worker answers with a stream of Frames — hello on boot, hb
-// heartbeats while a job runs, cut for every checkpoint snapshot a phased
-// task saves, and finally exactly one result or error frame per job.
+// heartbeats while a job runs, cut for every checkpoint snapshot the task
+// saves, and finally exactly one result or error frame per job.
 // A worker executes a job by re-running the suite's own decomposition with
 // a task filter, so the task's config and derived seed are reconstructed
 // from first principles in the child; the coordinator's cache key travels
@@ -48,14 +48,17 @@
 // and must not be quarantined no matter how often the chaos schedule kills
 // its host.
 //
-// Phased tasks get one more guarantee: their cut snapshots flow back to
-// the coordinator as they are saved, are mirrored into the coordinator's
-// own sweep ledger (runexp -checkpoint), and — when the job is redispatched
-// after a failure — travel to the adopting worker in the JobRequest, so
-// the task resumes mid-run from its last quiescent cut exactly as a
-// -restore'd in-process run would. The pool also consults the ledger
-// mirror on first dispatch, so a coordinator restarted with -restore ships
-// inherited cuts to its new workers.
+// Tasks that save cuts get one more guarantee. Those are the mpiruns
+// built on internal/experiments' one phase mechanism: every faults task,
+// and the fig3–fig6 and fig7 tasks under -checkpoint. Their cut snapshots
+// flow back to the coordinator as they are saved, are mirrored into the
+// coordinator's own sweep ledger (runexp -checkpoint), and — when the job
+// is redispatched after a failure — travel to the adopting worker in the
+// JobRequest, so the task resumes mid-run from its last quiescent cut
+// exactly as a -restore'd in-process run would. The pool also consults the
+// ledger mirror on every first dispatch, so a coordinator restarted with
+// -restore ships inherited cuts to its new workers; a task that never
+// saved a cut simply has none to ship.
 //
 // The pool degrades gracefully: any number of worker slots may exhaust
 // their respawn budgets and the sweep still completes on the survivors.
@@ -66,8 +69,8 @@
 //
 // Nothing in this package touches result bytes. Task seeds derive from
 // (suite, seed key, base seed) identically in coordinator and worker;
-// retries re-run a pure function; resumed phased tasks follow the same
-// phased schedule the checkpointing code already pins with golden hashes.
+// retries re-run a pure function; resumed tasks follow the same cut
+// schedule the golden hashes already pin for the uninterrupted run.
 // scripts/fabric_chaos.sh exercises exactly this claim: a sweep under
 // -fabric with workers SIGKILLed on a schedule must byte-match an
 // undisturbed run. Wall-clock time appears only in robustness policy

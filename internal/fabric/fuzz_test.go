@@ -18,7 +18,7 @@ import (
 func FuzzFrameDecode(f *testing.F) {
 	req, err := json.Marshal(JobRequest{
 		Type: "job", ID: 7, Entry: "fig3", Suite: "syncaccuracy", Task: "hca3/run0",
-		Scale: "tiny", Seed: 3, Cut: true, Key: "k", Phased: true,
+		Scale: "tiny", Seed: 3, Cut: true, Key: "k",
 		ResumeCut: 1, ResumeSnap: []byte{0xde, 0xad, 0xbe, 0xef},
 	})
 	if err != nil {

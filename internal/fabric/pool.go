@@ -143,18 +143,17 @@ type starter func(slot int) (conn, error)
 
 // job is one task in flight through the pool.
 type job struct {
-	id     int64
-	entry  string
-	suite  string
-	task   string
-	key    string
-	phased bool
+	id    int64
+	entry string
+	suite string
+	task  string
+	key   string
 
 	// Owned by whichever supervisor holds the job; a job is never held by
 	// two supervisors at once (requeue happens-before redispatch).
-	attempts int    // failures since the last new cut
-	maxCut   int    // highest cut ever saved, for the progress reset
-	cut      int    // latest snapshot, shipped to the adopting worker
+	attempts int // failures since the last new cut
+	maxCut   int // highest cut ever saved, for the progress reset
+	cut      int // latest snapshot, shipped to the adopting worker
 	snap     []byte
 
 	once   sync.Once
@@ -232,24 +231,24 @@ func (p *Pool) SetEntry(name string) { p.entry.Store(name) }
 // the pool dies. The seed parameter is unused — workers re-derive the seed
 // from the suite decomposition, and the cache key (which embeds the seed)
 // is what pins agreement between the processes.
-func (p *Pool) RunTask(suite, name, key string, seed int64, phased bool) (json.RawMessage, error) {
+func (p *Pool) RunTask(suite, name, key string, seed int64) (json.RawMessage, error) {
 	_ = seed
 	if p.closed.Load() {
 		return nil, ErrPoolClosed
 	}
 	entry, _ := p.entry.Load().(string)
 	j := &job{
-		id:     p.nextID.Add(1),
-		entry:  entry,
-		suite:  suite,
-		task:   name,
-		key:    key,
-		phased: phased,
-		done:   make(chan struct{}),
+		id:    p.nextID.Add(1),
+		entry: entry,
+		suite: suite,
+		task:  name,
+		key:   key,
+		done:  make(chan struct{}),
 	}
 	// A coordinator restarted with -restore may already hold a cut for
-	// this task; inherit it so the first dispatch resumes mid-run.
-	if phased && p.cfg.Cuts != nil {
+	// this task; inherit it so the first dispatch resumes mid-run. A task
+	// that never saved a cut has no Latest, so no other check is needed.
+	if p.cfg.Cuts != nil {
 		if tc := p.cfg.Cuts(suite, name); tc != nil {
 			if cut, snap, ok := tc.Latest(); ok {
 				j.cut, j.maxCut = cut, cut
@@ -364,7 +363,6 @@ func (p *Pool) runJob(c conn, j *job) error {
 		Cut:     p.cfg.Cut,
 		Workers: p.cfg.SimWorkers,
 		Key:     j.key,
-		Phased:  j.phased,
 	}
 	if len(j.snap) > 0 {
 		req.ResumeCut, req.ResumeSnap = j.cut, j.snap

@@ -139,7 +139,7 @@ func TestPoolRunsJobs(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = p.RunTask("suite", fmt.Sprintf("run%d", i), fmt.Sprintf("key%d", i), 0, false)
+			results[i], errs[i] = p.RunTask("suite", fmt.Sprintf("run%d", i), fmt.Sprintf("key%d", i), 0)
 		}(i)
 	}
 	wg.Wait()
@@ -174,7 +174,7 @@ func TestWorkerCrashTakeover(t *testing.T) {
 	first := awaitConn(t, tf)
 	resCh := make(chan error, 1)
 	go func() {
-		_, err := p.RunTask("s", "victim", "k", 0, false)
+		_, err := p.RunTask("s", "victim", "k", 0)
 		resCh <- err
 	}()
 	<-started
@@ -196,7 +196,7 @@ func TestHeartbeatKeepsSlowJobAlive(t *testing.T) {
 	}
 	p, _ := newTestPool(t, Config{Workers: 1, LeaseTTL: 100 * time.Millisecond},
 		WorkerOptions{Heartbeat: 20 * time.Millisecond}, exec)
-	if _, err := p.RunTask("s", "slow", "k", 0, false); err != nil {
+	if _, err := p.RunTask("s", "slow", "k", 0); err != nil {
 		t.Fatalf("slow-but-heartbeating job failed: %v", err)
 	}
 	if st := p.Stats(); st.LeaseTakeovers != 0 || st.Retries != 0 {
@@ -218,7 +218,7 @@ func TestHungWorkerLeaseExpires(t *testing.T) {
 	// which is exactly what the lease exists to bound.
 	p, _ := newTestPool(t, Config{Workers: 1, LeaseTTL: 80 * time.Millisecond},
 		WorkerOptions{Heartbeat: -1}, exec)
-	if _, err := p.RunTask("s", "wedge", "k", 0, false); err != nil {
+	if _, err := p.RunTask("s", "wedge", "k", 0); err != nil {
 		t.Fatalf("job did not survive the hung worker: %v", err)
 	}
 	if st := p.Stats(); st.LeaseTakeovers < 1 {
@@ -231,7 +231,7 @@ func TestPoisonedJobQuarantined(t *testing.T) {
 		return "", nil, fmt.Errorf("deterministic failure")
 	}
 	p, _ := newTestPool(t, Config{Workers: 1, MaxAttempts: 3}, WorkerOptions{Heartbeat: -1}, exec)
-	_, err := p.RunTask("s", "bad", "k", 0, false)
+	_, err := p.RunTask("s", "bad", "k", 0)
 	var perr *PoisonError
 	if !errors.As(err, &perr) {
 		t.Fatalf("err = %v, want a *PoisonError", err)
@@ -278,7 +278,7 @@ func TestLedgerMigratesToAdoptingWorker(t *testing.T) {
 	first := awaitConn(t, tf)
 	resCh := make(chan json.RawMessage, 1)
 	go func() {
-		res, err := p.RunTask("faults", "run0", "k", 0, true)
+		res, err := p.RunTask("faults", "run0", "k", 0)
 		if err != nil {
 			t.Errorf("phased job failed: %v", err)
 		}
@@ -321,7 +321,7 @@ func TestInheritedCutShipsOnFirstDispatch(t *testing.T) {
 		return restoredCut{cut: 2, snap: []byte("inherited")}
 	}
 	p, _ := newTestPool(t, Config{Workers: 1, Cuts: cuts}, WorkerOptions{Heartbeat: -1}, exec)
-	res, err := p.RunTask("faults", "run1", "k", 0, true)
+	res, err := p.RunTask("faults", "run1", "k", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestCutProgressResetsAttemptBudget(t *testing.T) {
 
 	resCh := make(chan error, 1)
 	go func() {
-		_, err := p.RunTask("s", "murdered", "k", 0, true)
+		_, err := p.RunTask("s", "murdered", "k", 0)
 		resCh <- err
 	}()
 	for i := 0; i < 3; i++ {
@@ -411,7 +411,7 @@ func TestDegradesToSurvivingWorker(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = p.RunTask("s", fmt.Sprintf("run%d", i), "k", 0, false)
+			_, errs[i] = p.RunTask("s", fmt.Sprintf("run%d", i), "k", 0)
 		}(i)
 	}
 	wg.Wait()
@@ -436,7 +436,7 @@ func TestAllWorkersLostFailsOutstandingJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
-	if _, err := p.RunTask("s", "doomed", "k", 0, false); !errors.Is(err, ErrNoWorkers) {
+	if _, err := p.RunTask("s", "doomed", "k", 0); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("err = %v, want ErrNoWorkers", err)
 	}
 }
@@ -444,7 +444,7 @@ func TestAllWorkersLostFailsOutstandingJobs(t *testing.T) {
 func TestClosedPoolRejectsJobs(t *testing.T) {
 	p, _ := newTestPool(t, Config{Workers: 1}, WorkerOptions{Heartbeat: -1}, echoExec)
 	p.Close()
-	if _, err := p.RunTask("s", "late", "k", 0, false); !errors.Is(err, ErrPoolClosed) {
+	if _, err := p.RunTask("s", "late", "k", 0); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("err = %v, want ErrPoolClosed", err)
 	}
 }
@@ -476,7 +476,7 @@ func TestDispatchFailureDoesNotBurnAttempts(t *testing.T) {
 	t.Cleanup(p.Close)
 	p.SetEntry("e")
 
-	raw, err := p.RunTask("s", "run0", "k", 1, false)
+	raw, err := p.RunTask("s", "run0", "k", 1)
 	if err != nil {
 		t.Fatalf("job failed despite a healthy fourth worker: %v", err)
 	}

@@ -56,9 +56,6 @@ type JobRequest struct {
 	// disagree about the task's identity (code-version or config skew) and
 	// fails the job loudly instead of returning a silently wrong result.
 	Key string `json:"key"`
-	// Phased marks a task that checkpoints at cut boundaries, i.e. one that
-	// may emit FrameCut and accept a resume snapshot.
-	Phased bool `json:"phased,omitempty"`
 	// ResumeCut and ResumeSnap, when set, are the last quiescent cut of a
 	// previous attempt (or of a -restore'd coordinator ledger); the worker's
 	// task resumes from them instead of starting over.

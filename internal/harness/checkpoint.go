@@ -16,6 +16,8 @@ package harness
 
 import (
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"sort"
 	"sync"
 
@@ -86,9 +88,10 @@ func NewCheckpointer(path string, every int, version string) *Checkpointer {
 }
 
 // Load restores the ledger from its file. A missing file is not an error —
-// the sweep simply starts empty. A corrupt or wrong-version file is a real
-// error (typed, from internal/checkpoint): silently discarding a ledger
-// the user asked to restore would recompute work behind their back.
+// the sweep simply starts empty. Any other read failure (a directory, no
+// permission) and a corrupt or wrong-version file (typed, from
+// internal/checkpoint) are real errors: silently discarding a ledger the
+// user asked to restore would recompute work behind their back.
 //
 // Finished results are keyed by cache key, which already embeds the code
 // version, so entries from an older build can never be served — they just
@@ -96,8 +99,11 @@ func NewCheckpointer(path string, every int, version string) *Checkpointer {
 // they are dropped when the ledger's version differs from ours.
 func (c *Checkpointer) Load() error {
 	raw, err := checkpoint.ReadFile(c.path)
-	if err != nil {
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil // no ledger yet; start empty
+	}
+	if err != nil {
+		return err
 	}
 	sweep, err := checkpoint.DecodeSweep(raw)
 	if err != nil {

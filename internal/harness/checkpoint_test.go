@@ -202,6 +202,10 @@ func TestCheckpointerLoadMissingAndCorrupt(t *testing.T) {
 	if err := ck2.Load(); err == nil {
 		t.Fatal("corrupt ledger must error, not silently restart the sweep")
 	}
+	ck3 := NewCheckpointer(dir, 1, "v")
+	if err := ck3.Load(); err == nil {
+		t.Fatal("a directory is not a missing ledger: Load must error, not silently restart the sweep")
+	}
 }
 
 // errSimulatedKill stands in for the process dying mid-sweep.

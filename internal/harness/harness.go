@@ -43,10 +43,8 @@ type Remote interface {
 	// RunTask executes the named task of the suite. key is the
 	// coordinator's cache key for the task — the remote side recomputes it
 	// and a mismatch means the two processes disagree about the task's
-	// identity (version or config skew). phased reports whether the task
-	// checkpoints at cut boundaries, i.e. whether migration snapshots may
-	// flow back mid-run.
-	RunTask(suite, name, key string, seed int64, phased bool) (json.RawMessage, error)
+	// identity (version or config skew).
+	RunTask(suite, name, key string, seed int64) (json.RawMessage, error)
 }
 
 // Options configures an Engine.
@@ -64,7 +62,7 @@ type Options struct {
 	Reporter Reporter
 	// Checkpoint enables the sweep ledger: finished results and in-flight
 	// cut snapshots are persisted so a killed run can resume. Nil disables
-	// checkpointing (phased tasks then run uninterrupted, without cuts).
+	// checkpointing (phased tasks then run without saving cuts).
 	// *Checkpointer is the file-backed implementation; the fabric worker
 	// substitutes a streaming ledger that relays cuts to its coordinator.
 	Checkpoint Ledger

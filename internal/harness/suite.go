@@ -40,8 +40,9 @@ type Task[R any] struct {
 // Run executes tasks through e's worker pool and returns their results in
 // task order — never in completion order. Each task's seed derives from
 // (suite, SeedKey, baseSeed) via DeriveSeed. On error, the first failing
-// task (by index, not by completion time) is reported; the engine still
-// drains tasks already started but skips ones not yet begun.
+// task (by index, not by completion time) is reported: once task i fails,
+// the engine skips the not-yet-begun tasks after i but still runs those
+// before it, so which failure is reported never depends on scheduling.
 func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, error) {
 	e = e.get()
 	n := len(tasks)
@@ -52,7 +53,17 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 	started := time.Now() //synclint:wallclock -- wall-time telemetry for the manifest; never hashed
 	e.reporter.Start(suite, n)
 
-	var failed atomic.Bool
+	// firstFail is the lowest index of a failed task so far (n if none).
+	var firstFail atomic.Int64
+	firstFail.Store(int64(n))
+	fail := func(i int) {
+		for {
+			cur := firstFail.Load()
+			if int64(i) >= cur || firstFail.CompareAndSwap(cur, int64(i)) {
+				return
+			}
+		}
+	}
 	var done atomic.Int64
 	runOne := func(i int) {
 		t := tasks[i]
@@ -83,7 +94,7 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 		if kerr != nil {
 			errs[i] = kerr
 			rec.Error = kerr.Error()
-			failed.Store(true)
+			fail(i)
 		} else {
 			rec.CacheKey = key
 			switch {
@@ -100,14 +111,14 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 				// detection, and cut migration; what comes back is the
 				// worker's canonical-JSON result — the same representation
 				// a cache hit would be served from.
-				raw, rerr := e.remote.RunTask(suite, name, key, seed, t.RunPhased != nil)
+				raw, rerr := e.remote.RunTask(suite, name, key, seed)
 				if rerr == nil {
 					rerr = json.Unmarshal(raw, &results[i])
 				}
 				if rerr != nil {
 					errs[i] = fmt.Errorf("%s/%s: %w", suite, name, rerr)
 					rec.Error = errs[i].Error()
-					failed.Store(true)
+					fail(i)
 				} else {
 					rec.Remote = true
 					e.cache.Put(key, e.version, suite, name, seed, t.Config, results[i])
@@ -124,7 +135,7 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 				if err != nil {
 					errs[i] = fmt.Errorf("%s/%s: %w", suite, name, err)
 					rec.Error = errs[i].Error()
-					failed.Store(true)
+					fail(i)
 				} else {
 					results[i] = res
 					e.cache.Put(key, e.version, suite, name, seed, t.Config, res)
@@ -146,7 +157,7 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 	}
 	if workers <= 1 {
 		for i := range tasks {
-			if failed.Load() {
+			if int64(i) > firstFail.Load() {
 				break
 			}
 			runOne(i)
@@ -159,7 +170,7 @@ func Run[R any](e *Engine, suite string, baseSeed int64, tasks []Task[R]) ([]R, 
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					if failed.Load() {
+					if int64(i) > firstFail.Load() {
 						continue
 					}
 					runOne(i)

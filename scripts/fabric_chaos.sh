@@ -22,8 +22,9 @@ trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/runexp" ./cmd/runexp
 args=(-suite "$suites" -scale tiny -cache "" -quiet -seed 424242)
 
-# Undisturbed in-process reference. Checkpointing stays on so the
-# cut-capable suites take the same phased schedule as the fabric run.
+# Undisturbed in-process reference. Checkpointing stays on so fig3 and
+# fig7, which keep two pinned schedules, take the same cut schedule as the
+# fabric run; faults has only the one (it always runs with cuts).
 "$tmp/runexp" "${args[@]}" -jobs 4 -checkpoint "$tmp/ref.ckpt" -outdir "$tmp/ref" >/dev/null
 
 # counter NAME FILE -> value of the fabric stat in the manifest (no jq).

@@ -5,6 +5,11 @@
 # uninterrupted run, (2) the manifests describe the same work, and (3) at
 # least one task was served from the ledger rather than recomputed.
 #
+# Every checkpointable mpirun is one list of phases run by the experiments'
+# one phase mechanism: faults always runs with cuts; fig3 (and fig4-fig6)
+# and fig7 keep two pinned schedules and take the cut one under
+# -checkpoint; scale serves its finished sweep points from the ledger.
+#
 # Usage: scripts/kill_resume.sh [suite]   (default: faults)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -16,8 +21,8 @@ trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/runexp" ./cmd/runexp
 args=(-suite "$suite" -scale tiny -jobs 1 -cache "" -quiet -seed 424242)
 
-# Uninterrupted reference run. Checkpointing stays on so the sync-accuracy
-# suites take the same phased schedule as the killed run.
+# Uninterrupted reference run. Checkpointing stays on so fig3-fig7 take
+# the same cut schedule as the killed run.
 "$tmp/runexp" "${args[@]}" -checkpoint "$tmp/clean.ckpt" -outdir "$tmp/clean" >/dev/null
 
 # Checkpointed run, SIGKILLed as soon as the ledger holds any progress.
