@@ -25,78 +25,81 @@ func (m *memCkpt) Save(cut int, snap []byte) {
 	m.cut, m.snap = cut, append([]byte(nil), snap...)
 }
 
-// The acceptance property of phased execution, at the level of one mpirun
-// of every suite that checkpoints: an uninterrupted cut run, a
-// checkpointing run, and a run resumed in a "fresh process" from the last
-// saved cut all produce the same result, bit for bit — including under
-// message drops and rank crashes, where the injector state rides the
-// snapshot.
-func TestPhasedResumeMatchesUninterrupted(t *testing.T) {
-	fig3 := TinyFig3Config()
-	check := fig3.Check
-	check.WaitTime = fig3.WaitTime
-	fig7 := TinyFig7Config()
-	fig7.Cut = true
-	flt := TinyFaultsConfig()
+// checkPhasedResume is the acceptance property of phased execution, at the
+// level of one mpirun: an uninterrupted cut run, a checkpointing run, and a
+// run resumed in a "fresh process" from the last saved cut all produce the
+// same result, bit for bit. wantCut is the last cut a checkpointing run
+// saves.
+func checkPhasedResume[R any](t *testing.T, wantCut int, run func(ckpt harness.TaskCheckpoint) (R, error)) {
+	t.Helper()
+	plain, err := run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saver := &memCkpt{}
+	saved, err := run(saver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if saver.cut != wantCut || len(saver.snap) == 0 {
+		t.Fatalf("last saved cut = %d (%d bytes), want %d", saver.cut, len(saver.snap), wantCut)
+	}
+	if !reflect.DeepEqual(saved, plain) {
+		t.Fatalf("checkpointing changed the result:\n got %+v\nwant %+v", saved, plain)
+	}
+	// "Kill" after the last cut: a fresh invocation sees only the saved
+	// snapshot and must replay the rest to the same result.
+	resumed, err := run(saver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resumed, plain) {
+		t.Fatalf("resumed run diverged:\n got %+v\nwant %+v", resumed, plain)
+	}
+}
 
-	type phasedCase struct {
-		name    string
-		wantCut int // the last cut a checkpointing run saves
-		run     func(ckpt harness.TaskCheckpoint) (any, error)
+func TestSyncAccuracyPhasedResumeMatchesUninterrupted(t *testing.T) {
+	cfg := TinyFig3Config()
+	check := cfg.Check
+	check.WaitTime = cfg.WaitTime
+	for _, alg := range cfg.Algorithms[:2] { // HCA and HCA2 keep this fast
+		t.Run(alg.Name(), func(t *testing.T) {
+			seed := harness.DeriveSeed("syncaccuracy", "run0", cfg.Job.Seed)
+			checkPhasedResume(t, 1, func(ckpt harness.TaskCheckpoint) (SyncRun, error) {
+				return syncAccuracyRun(cfg.Job, alg, 0, seed, cfg.WaitTime, check, true, ckpt)
+			})
+		})
 	}
-	cases := []phasedCase{
-		{"fig7", len(fig7.MSizes) - 1, func(ckpt harness.TaskCheckpoint) (any, error) {
-			seed := harness.DeriveSeed("fig7", "cell", fig7.Job.Seed)
-			return fig7Cell(fig7, fig7.Suites[0], fig7.Barriers[0], seed, ckpt)
-		}},
-	}
-	for i, name := range []string{"fig3_hca", "fig3_hca2"} { // HCA and HCA2 keep this fast
-		alg := fig3.Algorithms[i]
-		cases = append(cases, phasedCase{name, 1, func(ckpt harness.TaskCheckpoint) (any, error) {
-			seed := harness.DeriveSeed("syncaccuracy", "run0", fig3.Job.Seed)
-			return syncAccuracyRun(fig3.Job, alg, 0, seed, fig3.WaitTime, check, true, ckpt)
-		}})
-	}
+}
+
+// fig7 saves a cut after every finished message size but the last, so the
+// resume replays from mid-cell.
+func TestFig7PhasedResumeMatchesUninterrupted(t *testing.T) {
+	cfg := TinyFig7Config()
+	cfg.Cut = true
+	seed := harness.DeriveSeed("fig7", "cell", cfg.Job.Seed)
+	checkPhasedResume(t, len(cfg.MSizes)-1, func(ckpt harness.TaskCheckpoint) ([]Fig7Row, error) {
+		return fig7Cell(cfg, cfg.Suites[0], cfg.Barriers[0], seed, ckpt)
+	})
+}
+
+// Under message drops and rank crashes the injector state rides the
+// snapshot.
+func TestFaultsPhasedResumeMatchesUninterrupted(t *testing.T) {
+	cfg := TinyFaultsConfig()
 	for _, cell := range []struct {
 		drop    float64
 		crashes int
 	}{{0, 0}, {0.05, 1}} {
-		cases = append(cases, phasedCase{fmt.Sprintf("faults_drop%g_crash%d", cell.drop, cell.crashes), 1, func(ckpt harness.TaskCheckpoint) (any, error) {
-			seed := harness.DeriveSeed("faults", fmt.Sprintf("drop%g/crash%d/run0", cell.drop, cell.crashes), flt.Job.Seed)
-			row, err := faultsRun(flt, cell.drop, cell.crashes, 0, seed, ckpt)
-			if err == nil && cell.crashes > 0 && row.Survivors >= flt.Job.NProcs {
-				err = fmt.Errorf("crash cell lost no ranks (%d/%d survivors) — fault path not exercised", row.Survivors, flt.Job.NProcs)
-			}
-			return row, err
-		}})
-	}
-
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			plain, err := c.run(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			saver := &memCkpt{}
-			saved, err := c.run(saver)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if saver.cut != c.wantCut || len(saver.snap) == 0 {
-				t.Fatalf("last saved cut = %d (%d bytes), want %d", saver.cut, len(saver.snap), c.wantCut)
-			}
-			if !reflect.DeepEqual(saved, plain) {
-				t.Fatalf("checkpointing changed the result:\n got %+v\nwant %+v", saved, plain)
-			}
-			// "Kill" after the last cut: a fresh invocation sees only the
-			// saved snapshot and must replay the rest to the same result.
-			resumed, err := c.run(saver)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(resumed, plain) {
-				t.Fatalf("resumed run diverged:\n got %+v\nwant %+v", resumed, plain)
-			}
+		t.Run(fmt.Sprintf("drop%g_crash%d", cell.drop, cell.crashes), func(t *testing.T) {
+			seed := harness.DeriveSeed("faults", fmt.Sprintf("drop%g/crash%d/run0", cell.drop, cell.crashes), cfg.Job.Seed)
+			checkPhasedResume(t, 1, func(ckpt harness.TaskCheckpoint) (FaultsRun, error) {
+				row, err := faultsRun(cfg, cell.drop, cell.crashes, 0, seed, ckpt)
+				if err == nil && cell.crashes > 0 && row.Survivors >= cfg.Job.NProcs {
+					err = fmt.Errorf("crash cell lost no ranks (%d/%d survivors) — fault path not exercised", row.Survivors, cfg.Job.NProcs)
+				}
+				return row, err
+			})
 		})
 	}
 }
